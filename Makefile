@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet lint lint-json lint-fix bench-quick bench-batch bench-smoke bench-tenants swbench-quick smoke-e18 smoke-e19 serve-smoke recover-smoke check ci
+.PHONY: all build test test-race vet lint lint-json lint-fix bench-quick bench-batch bench-smoke bench-tenants swbench-quick smoke-e18 smoke-e19 serve-smoke recover-smoke swperf-smoke fuzz-smoke check ci
 
 all: build
 
@@ -94,6 +94,25 @@ serve-smoke:
 recover-smoke:
 	$(GO) test -race -count=1 -run 'TestKillAndRecover|TestHTTPSnapshotRestoreRoundTrip|TestSnapshotWhileIngesting' ./internal/serve/
 
+# The benchmark's own smoke test and analyzers. cmd/swperf is a nested
+# module (its go.mod points back at the root), so the root `go test ./...`
+# and `make lint` never reach it, yet it imports internal/serve; `go -C`
+# runs both inside that module. The smoke test runs all four workloads at
+# -scale 0.01 with every output check on.
+swperf-smoke:
+	$(GO) build -o bin/swlint ./cmd/swlint
+	$(GO) -C cmd/swperf test ./...
+	$(GO) -C cmd/swperf vet -vettool=$(CURDIR)/bin/swlint ./...
+
+# The network-decoder and WAL-codec fuzz targets, each for a fixed 10 s
+# (go test runs one fuzz target per invocation): handler status/count
+# property, recognizer-vs-encoding/json decode diff, WAL encoder vs
+# json.Marshal. Their seed corpora also run on every plain `go test`.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzIngestHandler$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzIngestDecodeDiff$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzWALRecordDiff$$' -fuzztime 10s ./internal/serve/
+
 # Fast benchmark smoke: fixed iteration counts so CI time is bounded.
 bench-quick:
 	$(GO) test -run xxx -bench . -benchtime 10000x ./...
@@ -124,6 +143,6 @@ bench-tenants:
 
 # lint runs right after vet/build so invariant violations fail the gate
 # before the slower race and smoke stages.
-check: vet build lint test test-race smoke-e18 smoke-e19 serve-smoke recover-smoke bench-smoke bench-tenants
+check: vet build lint test test-race smoke-e18 smoke-e19 serve-smoke recover-smoke bench-smoke bench-tenants swperf-smoke fuzz-smoke
 
 ci: check

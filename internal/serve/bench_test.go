@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"slidingsample/internal/parallel"
+	"slidingsample/internal/stream"
 )
 
 // benchSpec is the workload substrate for the HTTP load benchmarks:
@@ -180,4 +181,80 @@ func BenchmarkHTTPQuery(b *testing.B) {
 		close(stop)
 		producer.Wait()
 	})
+}
+
+// wireBenchBody renders n events in the shape swperf's generators send:
+// short [a-z0-9] keys, a bursty clock, small integral weights.
+func wireBenchBody(n int, ndjson bool) []byte {
+	var b strings.Builder
+	if !ndjson {
+		b.WriteString(`{"values":[`)
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, `"k%x"`, i*2654435761%1000003)
+		}
+		b.WriteString(`],"timestamps":[`)
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, "%d", 1700000000+i/50)
+		}
+		b.WriteString(`],"weights":[`)
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, "%d", i%9+1)
+		}
+		b.WriteString(`]}`)
+		return []byte(b.String())
+	}
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, `{"value":"k%x","weight":%d}`+"\n", i*2654435761%1000003, i%9+1)
+	}
+	return []byte(b.String())
+}
+
+// BenchmarkIngestDecode times the request-decode rung alone: one ingest body
+// through decodeIngestBody, as the handler runs it.
+func BenchmarkIngestDecode(b *testing.B) {
+	for _, tc := range []struct {
+		name   string
+		n      int
+		ndjson bool
+	}{{"json-200", 200, false}, {"ndjson-1000", 1000, true}} {
+		body := wireBenchBody(tc.n, tc.ndjson)
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				req := httptest.NewRequest(http.MethodPost, "/ingest/bench", strings.NewReader(string(body)))
+				if tc.ndjson {
+					req.Header.Set("Content-Type", "application/x-ndjson")
+				}
+				if _, err := decodeIngestBody(req, IngestRequest{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkWALEncode times the WAL-encode rung alone: one 200-event weighted
+// timestamped batch rendered as Record lines.
+func BenchmarkWALEncode(b *testing.B) {
+	elems := make([]stream.Element[string], 200)
+	weights := make([]float64, len(elems))
+	for i := range elems {
+		elems[i] = stream.Element[string]{Value: fmt.Sprintf("k%x", i*2654435761%1000003), TS: int64(1700000000 + i/50)}
+		weights[i] = float64(i%9 + 1)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := encodeWALBatch(elems, weights, true); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

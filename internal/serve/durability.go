@@ -3,7 +3,6 @@ package serve
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -126,55 +125,55 @@ func RestoreInstance(r io.Reader) (*Instance, uint64, error) {
 // WAL
 // ---------------------------------------------------------------------------
 
+// walStore is the file under a WAL: *os.File, or a write-failing wrapper
+// in tests.
+type walStore interface {
+	io.Writer
+	Truncate(size int64) error
+	Seek(offset int64, whence int) (int64, error)
+	Sync() error
+}
+
 // walFile is one instance's append-only ingest log. Appends happen under
-// the instance's admission mutex, so the log order is the admission order;
-// the file mutex only guards against the recovery compaction racing a
-// late append on a path that bypassed admission (none today — belt and
-// braces).
+// the instance's admission lock (qmu; mu on the legacy path), so the log
+// order is the admission order; that lock also guards off and broken.
 type walFile struct {
-	mu sync.Mutex
-	f  *os.File
+	f      walStore
+	off    int64 // end of the last batch written in full
+	broken error // set once a failed append could not be rolled back
 }
 
+// append writes one batch's records at the end of the log. A failed or
+// short write is rolled back to the end of the previous batch, so the log
+// never keeps part of a rejected batch for the next append to land behind.
+// If the rollback fails too, the log cannot be trusted any more and every
+// later append fails as well: the instance fails closed for ingest.
 func (w *walFile) append(buf []byte) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if _, err := w.f.Write(buf); err != nil {
-		return fmt.Errorf("serve: wal append: %w", err)
+	if w.broken != nil {
+		return w.broken
 	}
-	return nil
+	n, err := w.f.Write(buf)
+	if err == nil {
+		w.off += int64(n)
+		return nil
+	}
+	if rerr := w.rollback(); rerr != nil {
+		w.broken = fmt.Errorf("%w: %v; rollback failed, ingest disabled: %v", ErrWALWrite, err, rerr)
+		return w.broken
+	}
+	return fmt.Errorf("%w: %v", ErrWALWrite, err)
 }
 
-func (w *walFile) sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.f.Sync()
+// rollback cuts the log back to the end of the last good batch.
+func (w *walFile) rollback() error {
+	if err := w.f.Truncate(w.off); err != nil {
+		return err
+	}
+	_, err := w.f.Seek(w.off, io.SeekStart)
+	return err
 }
 
-// encodeWALBatch renders one admitted batch as NDJSON Record lines — the
-// same wire format the ingest endpoint accepts, so a WAL is replayable
-// with nothing but the ordinary ingest path (or curl).
-func encodeWALBatch(elems []stream.Element[string], weights []float64, withTS bool) ([]byte, error) {
-	var buf bytes.Buffer
-	for i := range elems {
-		rec := Record{Value: elems[i].Value}
-		if withTS {
-			ts := elems[i].TS
-			rec.TS = &ts
-		}
-		if weights != nil {
-			w := weights[i]
-			rec.Weight = &w
-		}
-		b, err := json.Marshal(rec)
-		if err != nil {
-			return nil, fmt.Errorf("serve: wal encode: %w", err)
-		}
-		buf.Write(b)
-		buf.WriteByte('\n')
-	}
-	return buf.Bytes(), nil
-}
+func (w *walFile) sync() error { return w.f.Sync() }
 
 // ---------------------------------------------------------------------------
 // State directory
@@ -334,19 +333,19 @@ func (sd *StateDir) Recover(s *Server) ([]string, error) {
 		if err != nil {
 			return names, fmt.Errorf("serve: recover %q: %w", name, err)
 		}
-		if err := s.Adopt(name, inst); err != nil {
+		// Compaction is Enable: a fresh WAL and a snapshot of the caught-up
+		// state, so WAL growth is bounded per process lifetime.
+		if err := s.adopt(name, inst, sd); err != nil {
 			inst.Close()
-			return names, err
+			return names, fmt.Errorf("serve: recover %q: %w", name, err)
 		}
 		names = append(names, name)
 	}
 	return names, nil
 }
 
-// recoverOne rebuilds one instance: restore the snapshot, replay the WAL
-// records it does not cover, then compact — truncate the WAL and write a
-// snapshot of the caught-up state, so WAL growth is bounded per process
-// lifetime.
+// recoverOne rebuilds one instance: restore the snapshot, then replay the
+// WAL records it does not cover.
 func (sd *StateDir) recoverOne(name string) (*Instance, error) {
 	f, err := os.Open(sd.snapPath(name))
 	if err != nil {
@@ -357,11 +356,7 @@ func (sd *StateDir) recoverOne(name string) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := sd.replayWAL(inst, name, walSkip); err != nil {
-		inst.Close()
-		return nil, err
-	}
-	if err := sd.Enable(name, inst); err != nil {
+	if err := sd.replayWAL(inst, name, walSkip); err != nil {
 		inst.Close()
 		return nil, err
 	}
@@ -369,38 +364,39 @@ func (sd *StateDir) recoverOne(name string) (*Instance, error) {
 }
 
 // replayWAL feeds the WAL records after the first skip through the
-// ordinary ingest path. A torn FINAL record — the crash interrupting an
-// append — is tolerated (that batch was never acknowledged); a corrupt
-// record anywhere else is an error.
-func (sd *StateDir) replayWAL(in *Instance, name string, skip uint64) (uint64, error) {
+// ordinary ingest path, in runs (walRun). A torn FINAL record — the crash
+// interrupting an append — is tolerated (that batch was never
+// acknowledged); a corrupt record anywhere else is an error.
+func (sd *StateDir) replayWAL(in *Instance, name string, skip uint64) error {
 	f, err := os.Open(sd.walPath(name))
 	if errors.Is(err, os.ErrNotExist) {
 		if skip != 0 {
-			return 0, fmt.Errorf("serve: snapshot covers %d wal records but %q has no wal", skip, name)
+			return fmt.Errorf("serve: snapshot covers %d wal records but %q has no wal", skip, name)
 		}
-		return 0, nil
+		return nil
 	}
 	if err != nil {
-		return 0, err
+		return err
 	}
 	defer f.Close()
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, initialNDJSONBufBytes), maxNDJSONLineBytes)
-	var n, applied uint64
+	var n uint64
+	var run walRun
 	var torn error
 	for sc.Scan() {
-		raw := strings.TrimSpace(sc.Text())
-		if raw == "" {
+		raw := bytes.TrimSpace(sc.Bytes())
+		if len(raw) == 0 {
 			continue
 		}
 		if torn != nil {
-			return applied, fmt.Errorf("serve: corrupt wal record %d for %q: %v", n, name, torn)
+			return fmt.Errorf("serve: corrupt wal record %d for %q: %v", n, name, torn)
 		}
 		n++
-		var rec Record
-		if err := json.Unmarshal([]byte(raw), &rec); err != nil {
+		rec, err := decodeWALRecord(raw)
+		if err != nil {
 			if n <= skip {
-				return applied, fmt.Errorf("serve: corrupt wal record %d for %q (covered by the snapshot): %v", n, name, err)
+				return fmt.Errorf("serve: corrupt wal record %d for %q (covered by the snapshot): %v", n, name, err)
 			}
 			torn = err
 			continue
@@ -408,38 +404,75 @@ func (sd *StateDir) replayWAL(in *Instance, name string, skip uint64) (uint64, e
 		if n <= skip {
 			continue
 		}
-		if err := replayRecord(in, rec); err != nil {
-			return applied, fmt.Errorf("serve: wal replay record %d for %q: %w", n, name, err)
+		if !run.fits(rec) {
+			if err := run.replay(in, name); err != nil {
+				return err
+			}
+			run = walRun{}
 		}
-		applied++
+		run.add(rec, n)
+	}
+	if err := run.replay(in, name); err != nil {
+		return err
 	}
 	if err := sc.Err(); err != nil {
-		return applied, fmt.Errorf("serve: wal read %q: %w", name, err)
+		return fmt.Errorf("serve: wal read %q: %w", name, err)
 	}
 	if n < skip {
-		return applied, fmt.Errorf("serve: wal for %q has %d records but the snapshot covers %d", name, n, skip)
+		return fmt.Errorf("serve: wal for %q has %d records but the snapshot covers %d", name, n, skip)
 	}
-	return applied, nil
+	return nil
 }
 
-// replayRecord re-ingests one WAL record, waiting out transient staging
-// backpressure (the applier drains concurrently during replay).
-func replayRecord(in *Instance, rec Record) error {
-	values := []string{rec.Value}
-	var tss []int64
-	var ws []float64
-	if rec.TS != nil {
-		tss = []int64{*rec.TS}
+// walRun is a run of consecutive WAL records that agree on ts and weight
+// presence, replayed as one ingest batch of at most stream.MaxRecycledCap
+// records. ObserveBatch is sample-path identical to looping Observe
+// (DESIGN.md §3), so where a replay cuts its batches changes nothing in the
+// recovered state; it only saves the per-batch admission cost.
+type walRun struct {
+	values      []string
+	tss         []int64
+	ws          []float64
+	hasTS, hasW bool
+	first       uint64 // WAL record number of values[0]
+}
+
+// fits reports whether rec can extend the run.
+func (r *walRun) fits(rec wireRecord) bool {
+	return len(r.values) == 0 ||
+		len(r.values) < stream.MaxRecycledCap && rec.hasTS == r.hasTS && rec.hasW == r.hasW
+}
+
+func (r *walRun) add(rec wireRecord, n uint64) {
+	if len(r.values) == 0 {
+		r.hasTS, r.hasW, r.first = rec.hasTS, rec.hasW, n
 	}
-	if rec.Weight != nil {
-		ws = []float64{*rec.Weight}
+	r.values = append(r.values, rec.value)
+	if rec.hasTS {
+		r.tss = append(r.tss, rec.ts)
+	}
+	if rec.hasW {
+		r.ws = append(r.ws, rec.weight)
+	}
+}
+
+// replay ingests the run, waiting out transient staging backpressure (the
+// applier drains concurrently during replay). The staged batch keeps the
+// weights slice, so a run's slices are never reused for the next run.
+func (r *walRun) replay(in *Instance, name string) error {
+	if len(r.values) == 0 {
+		return nil
 	}
 	for {
-		_, err := in.Ingest(values, tss, ws)
+		_, err := in.Ingest(r.values, r.tss, r.ws)
 		if errors.Is(err, ErrOverloaded) {
 			time.Sleep(time.Millisecond)
 			continue
 		}
-		return err
+		if err != nil {
+			last := r.first + uint64(len(r.values)) - 1
+			return fmt.Errorf("serve: wal replay records %d-%d for %q: %w", r.first, last, name, err)
+		}
+		return nil
 	}
 }

@@ -95,6 +95,10 @@ var (
 	// Surfaced as 413 — the batch can be split, so the condition is the
 	// client's to fix, not transient.
 	ErrLineTooLong = errors.New("serve: NDJSON line exceeds the per-line limit")
+	// ErrWALWrite: the durable instance could not log the batch, so it was
+	// not admitted (HTTP 500). The log is rolled back to its last whole
+	// batch; if that fails too, every later ingest on the instance fails.
+	ErrWALWrite = errors.New("serve: wal append failed")
 	// ErrUnknownFabric: no fabric registered under the requested name.
 	ErrUnknownFabric = errors.New("serve: unknown fabric name")
 	// ErrUnknownTenant: a query for a tenant that has never ingested

@@ -106,26 +106,29 @@ func TestHandlerUnknownSampler(t *testing.T) {
 	wantStatus(t, code, http.StatusNotFound, body)
 }
 
+// malformedBatchCases are ingest bodies their target must refuse with a 400
+// and nothing admitted (FuzzIngestHandler seeds from them too).
+var malformedBatchCases = []struct {
+	name, target, ct, body string
+}{
+	{"truncated JSON", "/ingest/seq", "application/json", `{"values":["a"`},
+	{"trailing data", "/ingest/seq", "application/json", `{"values":["a"]} {"values":["b"]}`},
+	{"unknown field", "/ingest/seq", "application/json", `{"values":["a"],"bogus":1}`},
+	{"shape mismatch", "/ingest/wts", "application/json", `{"values":["a","b"],"timestamps":[1]}`},
+	{"weights shape", "/ingest/wts", "application/json", `{"values":["a","b"],"timestamps":[1,2],"weights":[1]}`},
+	{"seq with timestamps", "/ingest/seq", "application/json", `{"values":["a"],"timestamps":[1]}`},
+	{"ts without timestamps", "/ingest/wts", "application/json", `{"values":["a"]}`},
+	{"zero weight", "/ingest/wts", "application/json", `{"values":["a"],"timestamps":[1],"weights":[0]}`},
+	{"negative weight", "/ingest/wts", "application/json", `{"values":["a"],"timestamps":[1],"weights":[-2]}`},
+	{"weights on uniform substrate", "/ingest/uniform", "application/json", `{"values":["a"],"timestamps":[1],"weights":[1]}`},
+	{"bad NDJSON record", "/ingest/wts", "application/x-ndjson", `{"value":"a","ts":1}` + "\nnot-json\n"},
+	{"ragged NDJSON ts", "/ingest/wts", "application/x-ndjson", `{"value":"a","ts":1}` + "\n" + `{"value":"b"}`},
+	{"ragged NDJSON weight", "/ingest/wts", "application/x-ndjson", `{"value":"a","ts":1,"weight":2}` + "\n" + `{"value":"b","ts":2}`},
+}
+
 func TestHandlerMalformedBatch(t *testing.T) {
 	_, ts := newTestServer(t)
-	cases := []struct {
-		name, target, ct, body string
-	}{
-		{"truncated JSON", "/ingest/seq", "application/json", `{"values":["a"`},
-		{"trailing data", "/ingest/seq", "application/json", `{"values":["a"]} {"values":["b"]}`},
-		{"unknown field", "/ingest/seq", "application/json", `{"values":["a"],"bogus":1}`},
-		{"shape mismatch", "/ingest/wts", "application/json", `{"values":["a","b"],"timestamps":[1]}`},
-		{"weights shape", "/ingest/wts", "application/json", `{"values":["a","b"],"timestamps":[1,2],"weights":[1]}`},
-		{"seq with timestamps", "/ingest/seq", "application/json", `{"values":["a"],"timestamps":[1]}`},
-		{"ts without timestamps", "/ingest/wts", "application/json", `{"values":["a"]}`},
-		{"zero weight", "/ingest/wts", "application/json", `{"values":["a"],"timestamps":[1],"weights":[0]}`},
-		{"negative weight", "/ingest/wts", "application/json", `{"values":["a"],"timestamps":[1],"weights":[-2]}`},
-		{"weights on uniform substrate", "/ingest/uniform", "application/json", `{"values":["a"],"timestamps":[1],"weights":[1]}`},
-		{"bad NDJSON record", "/ingest/wts", "application/x-ndjson", `{"value":"a","ts":1}` + "\nnot-json\n"},
-		{"ragged NDJSON ts", "/ingest/wts", "application/x-ndjson", `{"value":"a","ts":1}` + "\n" + `{"value":"b"}`},
-		{"ragged NDJSON weight", "/ingest/wts", "application/x-ndjson", `{"value":"a","ts":1,"weight":2}` + "\n" + `{"value":"b","ts":2}`},
-	}
-	for _, tc := range cases {
+	for _, tc := range malformedBatchCases {
 		t.Run(tc.name, func(t *testing.T) {
 			code, body := do(t, http.MethodPost, ts.URL+tc.target, tc.ct, tc.body)
 			wantStatus(t, code, http.StatusBadRequest, body)

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -134,9 +133,15 @@ func (s *Server) stateDir() *StateDir {
 }
 
 // Adopt inserts an already-built instance — a restored snapshot — under
-// name. Unlike Register it never builds and never touches the state dir;
-// recovery wires durability itself before adopting.
-func (s *Server) Adopt(name string, inst *Instance) error {
+// name. Unlike Register it never builds and never touches the state dir.
+func (s *Server) Adopt(name string, inst *Instance) error { return s.adopt(name, inst, nil) }
+
+// adopt inserts inst under name, first making it durable in sd when sd is
+// non-nil. Both happen under the registry lock: the WAL is attached before
+// any request can reach the instance (Enable's contract), and a name that
+// is already taken is refused before Enable could truncate the live
+// instance's WAL.
+func (s *Server) adopt(name string, inst *Instance, sd *StateDir) error {
 	if name == "" || strings.ContainsAny(name, "/ \t\n") {
 		return fmt.Errorf("serve: sampler name must be non-empty without slashes or whitespace")
 	}
@@ -148,15 +153,13 @@ func (s *Server) Adopt(name string, inst *Instance) error {
 	if _, dup := s.inst[name]; dup {
 		return ErrDuplicateName
 	}
+	if sd != nil {
+		if err := sd.Enable(name, inst); err != nil {
+			return err
+		}
+	}
 	s.inst[name] = inst
 	return nil
-}
-
-// drop removes a name from the registry (restore-endpoint unwind only).
-func (s *Server) drop(name string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.inst, name)
 }
 
 // Get returns the named instance.
@@ -314,11 +317,15 @@ type errResponse struct {
 // statusFor maps serving-layer errors onto HTTP statuses: requests that
 // can never succeed are 400, missing names 404, requests that conflict
 // with the instance's current stream state (clocks, shutdown) 409, an
-// oversized NDJSON line 413 (split the batch), transient overload — a full
-// ingest staging queue — 503 (retryable), and an exhausted tenant budget
-// 507 (the operator capped the fabric's memory; retrying will not help).
+// oversized NDJSON line 413 (split the batch), a failed WAL append 500 (the
+// batch was not admitted, and the request itself was fine), transient
+// overload — a full ingest staging queue — 503 (retryable), and an
+// exhausted tenant budget 507 (the operator capped the fabric's memory;
+// retrying will not help).
 func statusFor(err error) int {
 	switch {
+	case errors.Is(err, ErrWALWrite):
+		return http.StatusInternalServerError
 	case errors.Is(err, ErrUnknownSampler),
 		errors.Is(err, ErrUnknownFabric),
 		errors.Is(err, ErrUnknownTenant):
@@ -436,16 +443,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 const maxBodyBytes = 32 << 20
 
 func decodeJSONBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("serve: bad request body: %w", err)
-	}
-	// A trailing second JSON value is a malformed batch, not a stream.
-	if err := dec.Decode(&struct{}{}); err != io.EOF {
-		return fmt.Errorf("serve: bad request body: trailing data after the JSON object")
-	}
-	return nil
+	return decodeJSONFrom(http.MaxBytesReader(nil, r.Body, maxBodyBytes), v)
 }
 
 // handleIngest accepts one batch per request: a JSON IngestRequest by
@@ -473,15 +471,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // decodeIngestBody parses an ingest request body — NDJSON under
 // Content-Type application/x-ndjson, a JSON IngestRequest otherwise —
 // appending into the slices req arrives with (the tenant handlers pass
-// slab-recycled scratch; the named path passes the zero value).
+// slab-recycled scratch; the named path passes the zero value). Both go
+// through the wire codec (wire.go).
 func decodeIngestBody(r *http.Request, req IngestRequest) (IngestRequest, error) {
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/x-ndjson") {
 		return parseNDJSON(r, req)
 	}
-	if err := decodeJSONBody(r, &req); err != nil {
-		return req, err
-	}
-	return req, nil
+	return decodeIngestJSON(http.MaxBytesReader(nil, r.Body, maxBodyBytes), req)
 }
 
 // NDJSON scanner bounds: lines buffer through initialNDJSONBufBytes and may
@@ -498,39 +494,41 @@ const (
 // or none, and either every record carries weight or none (a ragged stream
 // is a malformed batch). Presence is tracked explicitly — not by slice
 // nil-ness — because recycled scratch slices are non-nil while empty.
+// The line buffer is pooled (wireBufs); each line is decoded in place and
+// every value copied out, so nothing references the buffer afterwards.
 func parseNDJSON(r *http.Request, req IngestRequest) (IngestRequest, error) {
+	buf := wireBufs.Get(initialNDJSONBufBytes)
+	defer wireBufs.Put(buf)
 	sc := bufio.NewScanner(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
-	sc.Buffer(make([]byte, initialNDJSONBufBytes), maxNDJSONLineBytes)
+	sc.Buffer(buf, maxNDJSONLineBytes)
 	line := 0
 	var hasTS, hasW bool
 	for sc.Scan() {
-		raw := strings.TrimSpace(sc.Text())
+		raw := bytes.TrimSpace(sc.Bytes())
 		line++
-		if raw == "" {
+		if len(raw) == 0 {
 			continue
 		}
-		var rec Record
-		dec := json.NewDecoder(strings.NewReader(raw))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&rec); err != nil {
+		rec, err := decodeNDJSONRecord(raw)
+		if err != nil {
 			return req, fmt.Errorf("serve: bad NDJSON record on line %d: %w", line, err)
 		}
 		if len(req.Values) == 0 {
-			hasTS, hasW = rec.TS != nil, rec.Weight != nil
+			hasTS, hasW = rec.hasTS, rec.hasW
 		} else {
-			if (rec.TS != nil) != hasTS {
+			if rec.hasTS != hasTS {
 				return req, fmt.Errorf("serve: ragged NDJSON batch: line %d switches ts presence", line)
 			}
-			if (rec.Weight != nil) != hasW {
+			if rec.hasW != hasW {
 				return req, fmt.Errorf("serve: ragged NDJSON batch: line %d switches weight presence", line)
 			}
 		}
-		req.Values = append(req.Values, rec.Value)
-		if rec.TS != nil {
-			req.Timestamps = append(req.Timestamps, *rec.TS)
+		req.Values = append(req.Values, rec.value)
+		if rec.hasTS {
+			req.Timestamps = append(req.Timestamps, rec.ts)
 		}
-		if rec.Weight != nil {
-			req.Weights = append(req.Weights, *rec.Weight)
+		if rec.hasW {
+			req.Weights = append(req.Weights, rec.weight)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -663,7 +661,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // (the bytes POST /snapshot produced). The name must be free — restore
 // never replaces a live instance. Any WAL coverage the snapshot mentions
 // is irrelevant here: no WAL accompanies an HTTP body, and with a state
-// dir attached the instance starts a fresh one.
+// dir attached the instance starts a fresh one before it is published.
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	inst, _, err := RestoreInstance(bufio.NewReader(http.MaxBytesReader(nil, r.Body, maxSnapshotBytes)))
@@ -671,18 +669,10 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, fmt.Errorf("serve: restore: %w", err))
 		return
 	}
-	if err := s.Adopt(name, inst); err != nil {
+	if err := s.adopt(name, inst, s.stateDir()); err != nil {
 		inst.Close()
 		writeErr(w, err)
 		return
-	}
-	if sd := s.stateDir(); sd != nil {
-		if err := sd.Enable(name, inst); err != nil {
-			s.drop(name)
-			inst.Close()
-			writeErr(w, err)
-			return
-		}
 	}
 	count, k, words, maxWords := inst.Stats()
 	writeJSON(w, http.StatusCreated, SamplerInfo{
