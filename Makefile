@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet lint lint-json lint-fix bench-quick bench-batch bench-smoke bench-tenants swbench-quick smoke-e18 smoke-e19 serve-smoke recover-smoke swperf-smoke fuzz-smoke check ci
+.PHONY: all build test test-race vet lint lint-json lint-fix bench-quick bench-batch bench-smoke bench-tenants bench-ladder swbench-quick smoke-e18 smoke-e19 serve-smoke recover-smoke swperf-smoke fuzz-smoke check ci
 
 all: build
 
@@ -107,11 +107,14 @@ swperf-smoke:
 # The network-decoder and WAL-codec fuzz targets, each for a fixed 10 s
 # (go test runs one fuzz target per invocation): handler status/count
 # property, recognizer-vs-encoding/json decode diff, WAL encoder vs
-# json.Marshal. Their seed corpora also run on every plain `go test`.
+# json.Marshal, and the /samplers and /fabrics registration property
+# (201 and listed, or 4xx and the listing unchanged). Their seed corpora
+# also run on every plain `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzIngestHandler$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzIngestDecodeDiff$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecordDiff$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzRegisterHandler$$' -fuzztime 10s ./internal/serve/
 
 # Fast benchmark smoke: fixed iteration counts so CI time is bounded.
 bench-quick:
@@ -140,6 +143,20 @@ bench-smoke:
 bench-tenants:
 	$(GO) run ./cmd/swload -tenants 100 -tenant-skew 1.1 -clients 2 -batches 4 -batch-size 25 -queries 10 > /dev/null
 	$(GO) test -run xxx -bench 'BenchmarkTenant' -benchtime 1x -short ./internal/serve/
+
+# The benchmark's per-layer ladder (BENCHMARK.json, cmd/swperf --trace 1)
+# for every workload at seed 7: one JSON line per layer metric, the rows a
+# perf change reports before and after. About 4 minutes, so not part of
+# `make check`; each run's full output stays in .bench_build/.
+LADDER_WORKLOADS := flows-durable bulk-ndjson query-fanout tenants-zipf
+
+bench-ladder:
+	@mkdir -p .bench_build
+	@for w in $(LADDER_WORKLOADS); do \
+		bash cmd/swperf/run.sh --workload $$w --seed 7 --seconds 15 --trace 1 > .bench_build/ladder-$$w.jsonl; \
+		st=$$?; grep '"metric"' .bench_build/ladder-$$w.jsonl; \
+		[ $$st -eq 0 ] || { echo "bench-ladder: $$w failed (exit $$st)" >&2; exit $$st; }; \
+	done
 
 # lint runs right after vet/build so invariant violations fail the gate
 # before the slower race and smoke stages.

@@ -624,6 +624,34 @@ func BenchmarkShardedTSWOR_SampleAt(b *testing.B) {
 	}
 }
 
+// The weighted WOR query at serving scale: G=8 shards at K=64 over a
+// window that holds every arrival, the shape of swperf's query-fanout
+// workload. 200k arrivals leave 400-450 retained nodes per shard
+// (expected k·(1+ln(n/(g·k)))), so the query is the per-shard top-k
+// selection plus the cross-shard merge. -short fills 20k (~280 per shard)
+// to keep the CI bench smoke fast.
+func BenchmarkShardedWeightedTSWOR_SampleAt(b *testing.B) {
+	fill := 200_000
+	if testing.Short() {
+		fill = 20_000
+	}
+	s := parallel.NewShardedWeightedTSWOR[uint64](xrand.New(1), 3600, 8, 64, 0.05,
+		func(v uint64) float64 { return float64(v%1000 + 1) })
+	defer s.Close()
+	for i := 0; i < fill; i++ {
+		s.Observe(uint64(i), int64(i/100))
+	}
+	s.Barrier()
+	now := int64((fill - 1) / 100)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := s.SampleAt(now); !ok {
+			b.Fatal("no sample")
+		}
+	}
+}
+
 // The checkpointed query cadence: one Barrier + Sample per batch. This is
 // what real consumers of the sharded samplers run (queries require a
 // barrier), and it is the cadence the dispatcher's double-buffered batch

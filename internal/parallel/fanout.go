@@ -17,7 +17,8 @@
 //     in a fixed sequential order;
 //   - the cross-shard combine (top-k merge, weight totals, shortfall
 //     redistribution) runs on the calling goroutine in shard order, so
-//     float summation order and sort input order are fixed.
+//     float summation order is fixed, and the k-way merge reads only the
+//     per-shard result slots, whose contents no schedule can change.
 //
 // Consequently a query fanned across G workers returns byte-identical
 // results to the same query run with fan-out disabled — the property

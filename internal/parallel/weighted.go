@@ -40,8 +40,6 @@
 package parallel
 
 import (
-	"sort"
-
 	"slidingsample/internal/ehist"
 	"slidingsample/internal/stream"
 	"slidingsample/internal/weighted"
@@ -348,35 +346,61 @@ func pickShard(rng *xrand.Rand, weights []float64, total float64) int {
 
 // mergeShardItems fans fetchShard across the forShards pool — one
 // shard-local, draw-free skyband query per shard, each writing its own
-// result slot — and concatenates the results in shard index order with
-// global indices recovered. The concatenation order fixes the mergeTopK
-// sort input, so the merged sample is byte-identical whatever the fan-out.
-func mergeShardItems[T any](w *wdispatch[T], fetchShard func(shard int) ([]weighted.Item[T], bool)) []weighted.Item[T] {
+// result slot — then merges the per-shard lists on the calling goroutine
+// (mergeTopK), so the merged sample is byte-identical whatever the
+// fan-out. ok is false when every shard is empty.
+func mergeShardItems[T any](w *wdispatch[T], fetchShard func(shard int) ([]weighted.Item[T], bool)) ([]weighted.Item[T], bool) {
 	perShard := make([][]weighted.Item[T], w.g)
 	forShards(w.g, func(shard int) {
 		if items, ok := fetchShard(shard); ok {
 			perShard[shard] = items
 		}
 	})
-	var all []weighted.Item[T]
-	for shard, items := range perShard {
-		for _, it := range items {
-			it.Elem = recoverIndex(it.Elem, shard, w.g)
-			all = append(all, it)
-		}
-	}
-	return all
+	out := mergeTopK(perShard, w.k)
+	return out, len(out) > 0
 }
 
-// mergeTopK sorts merged per-shard items by decreasing log-key — the
-// Efraimidis–Spirakis successive-sampling order — and keeps the global
-// top-k: the exact weighted WOR sample of the union.
-func mergeTopK[T any](all []weighted.Item[T], k int) []weighted.Item[T] {
-	sort.Slice(all, func(a, b int) bool { return all[a].LogKey > all[b].LogKey })
-	if len(all) > k {
-		all = all[:k]
+// mergeTopK merges the per-shard samples — each in decreasing log-key
+// order with shard-local indices, as the weighted skybands return them —
+// into the global top-k in the same order: the exact weighted WOR sample
+// of the union, in the Efraimidis–Spirakis successive-sampling order. An
+// exact key tie ranks the smaller GLOBAL index first, the rule each
+// shard's list already follows (dealing keeps arrival order within a
+// shard), so the result is a pure function of the per-shard lists. Each
+// step scans the g list heads, O(k·g) in all, below the O(g·m) per-shard
+// selection that precedes it; only the k emitted items get their global
+// index recovered.
+func mergeTopK[T any](perShard [][]weighted.Item[T], k int) []weighted.Item[T] {
+	g := len(perShard)
+	total := 0
+	for _, items := range perShard {
+		total += len(items)
 	}
-	return all
+	if total == 0 {
+		return nil
+	}
+	pos := make([]int, g)
+	out := make([]weighted.Item[T], min(k, total))
+	for i := range out {
+		best := -1
+		var bestLK float64
+		var bestIdx uint64
+		for shard, items := range perShard {
+			if pos[shard] == len(items) {
+				continue
+			}
+			it := &items[pos[shard]]
+			idx := it.Elem.Index*uint64(g) + uint64(shard)
+			if best < 0 || it.LogKey > bestLK || it.LogKey == bestLK && idx < bestIdx {
+				best, bestLK, bestIdx = shard, it.LogKey, idx
+			}
+		}
+		it := perShard[best][pos[best]]
+		pos[best]++
+		it.Elem = recoverIndex(it.Elem, best, g)
+		out[i] = it
+	}
+	return out
 }
 
 // itemsToElements strips Items to the bare-element Sample shape.
@@ -451,19 +475,16 @@ func (s *ShardedWeightedTSWOR[T]) Close() { s.w.d.close() }
 // the window's). Panics without a Barrier.
 //
 // The per-shard skyband queries fan across the forShards pool into
-// per-shard result slots; the merge input is then concatenated in shard
-// index order on the calling goroutine, so the sort sees the same sequence
-// regardless of the fan-out schedule (ties included).
+// per-shard result slots, each already a bounded top-k selection in
+// decreasing key order; the k-way merge of those lists then runs on the
+// calling goroutine, so the answer is the same whatever the fan-out
+// schedule. Exact key ties rank the smaller global arrival index first.
 func (s *ShardedWeightedTSWOR[T]) ItemsAt(now int64) ([]weighted.Item[T], bool) {
 	s.w.d.requireSynced()
 	now = s.w.clock(now)
-	all := mergeShardItems(s.w, func(shard int) ([]weighted.Item[T], bool) {
+	return mergeShardItems(s.w, func(shard int) ([]weighted.Item[T], bool) {
 		return s.shards[shard].ItemsAt(now)
 	})
-	if len(all) == 0 {
-		return nil, false
-	}
-	return mergeTopK(all, s.w.k), true
 }
 
 // Items returns the sample at the latest dispatched timestamp.
@@ -680,18 +701,14 @@ func (s *ShardedWeightedSeqWOR[T]) Close() { s.w.d.close() }
 
 // Items returns the weighted sample over the last min(count, n) elements —
 // the exact merged top-k in decreasing key order. The per-shard skyband
-// queries fan across the forShards pool; the merge input is concatenated
-// in shard index order (see ShardedWeightedTSWOR.ItemsAt). Panics without
-// a Barrier.
+// queries fan across the forShards pool and their sorted lists are k-way
+// merged on the calling goroutine, ties by global index (see
+// ShardedWeightedTSWOR.ItemsAt). Panics without a Barrier.
 func (s *ShardedWeightedSeqWOR[T]) Items() ([]weighted.Item[T], bool) {
 	s.w.d.requireSynced()
-	all := mergeShardItems(s.w, func(shard int) ([]weighted.Item[T], bool) {
+	return mergeShardItems(s.w, func(shard int) ([]weighted.Item[T], bool) {
 		return s.shards[shard].Items()
 	})
-	if len(all) == 0 {
-		return nil, false
-	}
-	return mergeTopK(all, s.w.k), true
 }
 
 // Sample implements stream.Sampler.

@@ -24,16 +24,22 @@ var fuzzIngestTargets = []Spec{
 	{Mode: "ts", Sampler: "weighted-ts-wor", T0: 60, K: 4, Seed: 32},
 }
 
-// postIngest sends one ingest body through the handler in process.
-func postIngest(s *Server, name string, ndjson bool, body []byte) *httptest.ResponseRecorder {
-	req := httptest.NewRequest(http.MethodPost, "/ingest/"+name, bytes.NewReader(body))
-	req.Header.Set("Content-Type", "application/json")
-	if ndjson {
-		req.Header.Set("Content-Type", "application/x-ndjson")
-	}
+// serveRecorded sends one request through the handler in process.
+func serveRecorded(s *Server, method, path, contentType string, body []byte) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(method, path, bytes.NewReader(body))
+	req.Header.Set("Content-Type", contentType)
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
 	return rec
+}
+
+// postIngest sends one ingest body through the handler in process.
+func postIngest(s *Server, name string, ndjson bool, body []byte) *httptest.ResponseRecorder {
+	contentType := "application/json"
+	if ndjson {
+		contentType = "application/x-ndjson"
+	}
+	return serveRecorded(s, http.MethodPost, "/ingest/"+name, contentType, body)
 }
 
 func FuzzIngestHandler(f *testing.F) {

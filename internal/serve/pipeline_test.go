@@ -141,6 +141,9 @@ func TestIngestOverload(t *testing.T) {
 
 	// Once the applier drains, admission succeeds again and the rejected
 	// batches left no trace: the count reflects exactly the admitted ones.
+	// Stats applies whatever the applier has not reached yet, so the post
+	// below cannot race the applier for the freed queue space.
+	inst.Stats()
 	code, body = post(t, ts.URL+"/ingest/q", `{"values":["h"],"timestamps":[4]}`)
 	wantStatus(t, code, 200, body)
 	if want := `{"ingested":1,"count":6}`; body != want {

@@ -49,6 +49,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"slidingsample/internal/stream"
 	"slidingsample/internal/substrate"
@@ -122,8 +123,10 @@ type Spec = substrate.Spec
 // at construction: registration is a network-reachable endpoint, so a
 // single unauthenticated POST must not be able to allocate the process to
 // death. K sizes per-slot state in every substrate, G spawns goroutines
-// and buffered channels, and the fullwindow baseline allocates its Θ(n)
-// ring up front (window.SeqBuffer is documented test/bench-grade). The
+// and buffered channels, a sharded sampler sizes per-slot state in each
+// of its G shards (so g·k is capped as well as each factor), and the
+// fullwindow baseline allocates its Θ(n) ring up front
+// (window.SeqBuffer is documented test/bench-grade). The
 // CLIs resolve specs through internal/substrate directly and are not
 // capped — a local operator's own machine is their own business.
 const (
@@ -131,6 +134,10 @@ const (
 	MaxK = 1 << 16
 	// MaxG bounds the shard count of a registered sampler.
 	MaxG = 256
+	// MaxShardSlots bounds g·k for a sharded sampler: about 120 MB of
+	// eager state for the costliest (ts sharded-wor), where g = MaxG with
+	// k = MaxK would take gigabytes.
+	MaxShardSlots = 1 << 18
 	// MaxFullWindowN bounds the eagerly allocated fullwindow baseline ring.
 	MaxFullWindowN = 1 << 22
 )
@@ -141,6 +148,9 @@ func validateServable(spec Spec) error {
 	}
 	if spec.G > MaxG {
 		return fmt.Errorf("serve: g %d exceeds the serving cap %d", spec.G, MaxG)
+	}
+	if strings.HasPrefix(spec.Sampler, "sharded-") && spec.G*spec.K > MaxShardSlots {
+		return fmt.Errorf("serve: g·k = %d exceeds the serving cap %d", spec.G*spec.K, MaxShardSlots)
 	}
 	if spec.Sampler == "fullwindow" && spec.Mode == "seq" && spec.N > MaxFullWindowN {
 		return fmt.Errorf("serve: fullwindow allocates its Θ(n) ring eagerly; n capped at %d for serving", MaxFullWindowN)

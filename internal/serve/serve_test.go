@@ -259,35 +259,64 @@ func TestHandlerCapabilityGaps(t *testing.T) {
 	wantStatus(t, code, http.StatusBadRequest, body)
 }
 
+// freshRegisterBody registers a new sampler; badRegisterBodies are POST
+// /samplers bodies the registry must refuse with a 400 or 409 (the
+// duplicate is the "seq" sampler newTestServer registers). Both seed
+// FuzzRegisterHandler's corpus.
+const freshRegisterBody = `{"name":"fresh","spec":{"mode":"ts","sampler":"weighted-ts-wr","t0":30,"k":3,"seed":9}}`
+
+var badRegisterBodies = map[string]string{
+	"duplicate name": `{"name":"seq","spec":{"mode":"seq","sampler":"wor","n":8,"k":2}}`,
+	"bad mode":       `{"name":"x1","spec":{"mode":"circular","sampler":"wor","n":8,"k":2}}`,
+	"bad sampler":    `{"name":"x2","spec":{"mode":"seq","sampler":"quantum","n":8,"k":2}}`,
+	"bad name":       `{"name":"a b","spec":{"mode":"seq","sampler":"wor","n":8,"k":2}}`,
+	"zero k":         `{"name":"x3","spec":{"mode":"seq","sampler":"wor","n":8}}`,
+	"bad weight fn":  `{"name":"x4","spec":{"mode":"seq","sampler":"weighted-wor","n":8,"k":2,"weight":"grams"}}`,
+	"indivisible n":  `{"name":"x5","spec":{"mode":"seq","sampler":"sharded-weighted-wor","n":10,"g":4,"k":2}}`,
+	// Serving caps: registration is network-reachable, so parameters
+	// that drive eager allocation are bounded (a 2e9-slot fullwindow
+	// ring would OOM the process from one unauthenticated POST, and so
+	// would a ts sharded-wor at g = MaxG, k = MaxK: ~6 GB of shard state).
+	"fullwindow n over cap": `{"name":"x6","spec":{"mode":"seq","sampler":"fullwindow","n":2000000000,"k":1}}`,
+	"k over cap":            `{"name":"x7","spec":{"mode":"seq","sampler":"wor","n":8,"k":1000000000}}`,
+	"g over cap":            `{"name":"x8","spec":{"mode":"ts","sampler":"sharded-wr","t0":10,"k":2,"g":1000000}}`,
+	"g·k over cap":          `{"name":"x9","spec":{"mode":"ts","sampler":"sharded-wor","t0":10,"k":65536,"g":256}}`,
+}
+
 func TestHandlerRegister(t *testing.T) {
 	_, ts := newTestServer(t)
-	code, body := post(t, ts.URL+"/samplers",
-		`{"name":"fresh","spec":{"mode":"ts","sampler":"weighted-ts-wr","t0":30,"k":3,"seed":9}}`)
+	code, body := post(t, ts.URL+"/samplers", freshRegisterBody)
 	wantStatus(t, code, http.StatusCreated, body)
 	code, body = post(t, ts.URL+"/ingest/fresh", `{"values":["hello"],"timestamps":[1]}`)
 	wantStatus(t, code, http.StatusOK, body)
 
-	for name, req := range map[string]string{
-		"duplicate name": `{"name":"seq","spec":{"mode":"seq","sampler":"wor","n":8,"k":2}}`,
-		"bad mode":       `{"name":"x1","spec":{"mode":"circular","sampler":"wor","n":8,"k":2}}`,
-		"bad sampler":    `{"name":"x2","spec":{"mode":"seq","sampler":"quantum","n":8,"k":2}}`,
-		"bad name":       `{"name":"a b","spec":{"mode":"seq","sampler":"wor","n":8,"k":2}}`,
-		"zero k":         `{"name":"x3","spec":{"mode":"seq","sampler":"wor","n":8}}`,
-		"bad weight fn":  `{"name":"x4","spec":{"mode":"seq","sampler":"weighted-wor","n":8,"k":2,"weight":"grams"}}`,
-		"indivisible n":  `{"name":"x5","spec":{"mode":"seq","sampler":"sharded-weighted-wor","n":10,"g":4,"k":2}}`,
-		// Serving caps: registration is network-reachable, so parameters
-		// that drive eager allocation are bounded (a 2e9-slot fullwindow
-		// ring would OOM the process from one unauthenticated POST).
-		"fullwindow n over cap": `{"name":"x6","spec":{"mode":"seq","sampler":"fullwindow","n":2000000000,"k":1}}`,
-		"k over cap":            `{"name":"x7","spec":{"mode":"seq","sampler":"wor","n":8,"k":1000000000}}`,
-		"g over cap":            `{"name":"x8","spec":{"mode":"ts","sampler":"sharded-wr","t0":10,"k":2,"g":1000000}}`,
-	} {
+	for name, req := range badRegisterBodies {
 		t.Run(name, func(t *testing.T) {
 			code, body := post(t, ts.URL+"/samplers", req)
 			if code != http.StatusBadRequest && code != http.StatusConflict {
 				t.Fatalf("status %d, want 400/409 (body: %s)", code, body)
 			}
 		})
+	}
+}
+
+// TestShardSlotsCap pins the g·k cap at its edge on a sharded sampler
+// whose shard state is small: g·k = MaxShardSlots registers, one more
+// shard is refused, and the cap leaves unsharded samplers alone.
+func TestShardSlotsCap(t *testing.T) {
+	s := NewServer()
+	t.Cleanup(s.Close)
+	edge := Spec{Mode: "ts", Sampler: "sharded-weighted-ts-wor", T0: 10, K: MaxK, G: MaxShardSlots / MaxK}
+	if _, err := s.Register("edge", edge); err != nil {
+		t.Fatalf("g·k = MaxShardSlots refused: %v", err)
+	}
+	over := edge
+	over.G++
+	if _, err := s.Register("over", over); err == nil || statusFor(err) != http.StatusBadRequest {
+		t.Fatalf("g·k over MaxShardSlots: err %v, want a 400", err)
+	}
+	if _, err := s.Register("flat", Spec{Mode: "ts", Sampler: "weighted-ts-wor", T0: 10, K: MaxK, G: MaxG}); err != nil {
+		t.Fatalf("unsharded sampler with a large g refused: %v", err)
 	}
 }
 

@@ -132,24 +132,24 @@ func TestTenantSeqModeAndCapabilityGaps(t *testing.T) {
 	wantStatus(t, code, http.StatusBadRequest, body)
 }
 
+// badFabricRegistrations are fabric registrations the registry must
+// refuse; FuzzRegisterHandler seeds its corpus from them as POST /fabrics
+// bodies.
+var badFabricRegistrations = map[string]FabricRegisterRequest{
+	"sharded template":   {"f1", Spec{Mode: "ts", Sampler: "sharded-weighted-ts-wor", T0: 60, K: 4, G: 4}, 0},
+	"bad name":           {"a b", Spec{Mode: "seq", Sampler: "wor", N: 8, K: 2}, 0},
+	"unknown sampler":    {"f2", Spec{Mode: "seq", Sampler: "quantum", N: 8, K: 2}, 0},
+	"negative budget":    {"f3", Spec{Mode: "seq", Sampler: "wor", N: 8, K: 2}, -1},
+	"budget over cap":    {"f4", Spec{Mode: "seq", Sampler: "wor", N: 8, K: 2}, MaxTenantsCap + 1},
+	"words budget blown": {"f5", Spec{Mode: "seq", Sampler: "wor", N: 1 << 20, K: MaxK}, MaxTenantsCap},
+}
+
 func TestFabricRegisterValidation(t *testing.T) {
 	s := NewServer()
 	t.Cleanup(s.Close)
-	cases := map[string]struct {
-		name       string
-		spec       Spec
-		maxTenants int
-	}{
-		"sharded template":   {"f1", Spec{Mode: "ts", Sampler: "sharded-weighted-ts-wor", T0: 60, K: 4, G: 4}, 0},
-		"bad name":           {"a b", Spec{Mode: "seq", Sampler: "wor", N: 8, K: 2}, 0},
-		"unknown sampler":    {"f2", Spec{Mode: "seq", Sampler: "quantum", N: 8, K: 2}, 0},
-		"negative budget":    {"f3", Spec{Mode: "seq", Sampler: "wor", N: 8, K: 2}, -1},
-		"budget over cap":    {"f4", Spec{Mode: "seq", Sampler: "wor", N: 8, K: 2}, MaxTenantsCap + 1},
-		"words budget blown": {"f5", Spec{Mode: "seq", Sampler: "wor", N: 1 << 20, K: MaxK}, MaxTenantsCap},
-	}
-	for name, tc := range cases {
+	for name, tc := range badFabricRegistrations {
 		t.Run(name, func(t *testing.T) {
-			if _, err := s.RegisterFabric(tc.name, tc.spec, tc.maxTenants); err == nil {
+			if _, err := s.RegisterFabric(tc.Name, tc.Spec, tc.MaxTenants); err == nil {
 				t.Fatalf("RegisterFabric accepted %+v", tc)
 			}
 		})

@@ -49,7 +49,6 @@ package weighted
 
 import (
 	"math"
-	"sort"
 
 	"slidingsample/internal/stream"
 	"slidingsample/internal/window"
@@ -283,22 +282,65 @@ func (s *WOR[T]) Items() ([]Item[T], bool) {
 
 // topItems returns the min(k, len(nodes)) retained nodes with the largest
 // keys as Items, in decreasing key order (the successive-sampling order).
+// An exact key tie ranks the earlier arrival first: the order the
+// skyband's strict beating already implies (a newer equal key does not
+// beat an older one), so the retained set always holds the top-k of every
+// suffix under it, and the answer is a pure function of the retained set.
+//
+// The selection is bounded: the result slice doubles as a heap of the best
+// min(k, m) nodes seen so far, worst at the root. The scan costs O(m) plus
+// O(log k) per root replacement, which stays rare because the skyband
+// keeps an old node only while its key is high, and the oldest nodes fill
+// the heap first; heapsort then orders the result in O(k·log k).
 func topItems[T any](nodes []node[T], k int) []Item[T] {
-	idx := make([]int, len(nodes))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return nodes[idx[a]].lk > nodes[idx[b]].lk })
-	m := k
-	if len(idx) < m {
-		m = len(idx)
-	}
+	m := min(k, len(nodes))
 	out := make([]Item[T], m)
-	for i := 0; i < m; i++ {
-		nd := nodes[idx[i]]
+	for i := range out {
+		nd := &nodes[i]
 		out[i] = Item[T]{Elem: nd.elem, Weight: nd.w, LogKey: nd.lk}
 	}
+	for i := m/2 - 1; i >= 0; i-- {
+		siftWorst(out, i)
+	}
+	for i := m; i < len(nodes); i++ {
+		// ranksBefore(nd, root), inlined: building an Item per scanned node
+		// costs about half again the whole selection.
+		nd := &nodes[i]
+		if rootLK := out[0].LogKey; nd.lk > rootLK || nd.lk == rootLK && nd.elem.Index < out[0].Elem.Index {
+			out[0] = Item[T]{Elem: nd.elem, Weight: nd.w, LogKey: nd.lk}
+			siftWorst(out, 0)
+		}
+	}
+	for end := m - 1; end > 0; end-- {
+		out[0], out[end] = out[end], out[0]
+		siftWorst(out[:end], 0)
+	}
 	return out
+}
+
+// ranksBefore is topItems' total order: the larger log-key first, then
+// the smaller arrival index.
+func ranksBefore[T any](a, b *Item[T]) bool {
+	return a.LogKey > b.LogKey || a.LogKey == b.LogKey && a.Elem.Index < b.Elem.Index
+}
+
+// siftWorst restores the heap below h[i] after h[i] changed: every parent
+// ranks after its children, so h[0] is the worst item of h.
+func siftWorst[T any](h []Item[T], i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && ranksBefore(&h[c], &h[r]) {
+			c = r
+		}
+		if !ranksBefore(&h[i], &h[c]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // Sample implements stream.Sampler: the Items sample as bare elements.
