@@ -26,11 +26,6 @@
 // violate timestamp monotonicity against each other — arrival order IS the
 // admission order, whatever interleaving the scheduler picks.
 //
-// -legacy measures the pre-pipeline baseline: whole-request ingest locking
-// and sequential shard queries (serve.SetPipelinedIngest(false),
-// parallel.SetQueryFanout(1)). BENCH_5.json pairs -legacy rows with default
-// rows at equal workloads.
-//
 // -tenants N switches the workload to the multi-tenant fabric: one fabric
 // is registered (any "sharded-" prefix on -sampler is dropped — fabrics
 // reject substrates that own goroutines) and every request targets
@@ -56,7 +51,6 @@ import (
 	"sync"
 	"time"
 
-	"slidingsample/internal/parallel"
 	"slidingsample/internal/serve"
 	"slidingsample/internal/xrand"
 )
@@ -74,8 +68,6 @@ type phaseSummary struct {
 
 type summary struct {
 	Label      string  `json:"label,omitempty"`
-	Pipelined  bool    `json:"pipelined"`
-	Fanout     int     `json:"fanout"`
 	Clients    int     `json:"clients"`
 	Batches    int     `json:"batchesPerClient"`
 	BatchSize  int     `json:"batchSize"`
@@ -110,20 +102,11 @@ func main() {
 		k          = flag.Int("k", 16, "sample size")
 		g          = flag.Int("g", 4, "shard count")
 		seed       = flag.Uint64("seed", 5, "sampler seed")
-		legacy     = flag.Bool("legacy", false, "baseline: pre-pipeline ingest and sequential shard queries")
-		fanout     = flag.Int("fanout", 0, "shard-query worker bound (0: min(GOMAXPROCS, 8); ignored with -legacy)")
 		label      = flag.String("label", "", "free-form label copied into the JSON summary")
 		tenants    = flag.Int("tenants", 0, "fabric mode: spread the workload over this many tenants (0: one named sampler)")
 		tenantSkew = flag.Float64("tenant-skew", 1.1, "zipf exponent for the tenant pick distribution (<=0: uniform)")
 	)
 	flag.Parse()
-
-	if *legacy {
-		serve.SetPipelinedIngest(false)
-		parallel.SetQueryFanout(1)
-	} else if *fanout > 0 {
-		parallel.SetQueryFanout(*fanout)
-	}
 
 	samplerName := *sampler
 	if *tenants > 0 {
@@ -169,8 +152,6 @@ func main() {
 
 	out := summary{
 		Label:      *label,
-		Pipelined:  !*legacy,
-		Fanout:     parallel.QueryFanout(),
 		Clients:    *clients,
 		Batches:    *batches,
 		BatchSize:  *batchSize,

@@ -96,17 +96,17 @@
 // built for: cmd/swserve exposes a named-sampler registry over HTTP — any
 // substrate above (plus the internal baselines and subset-sum estimator
 // substrates) behind a batched JSON/NDJSON ingest endpoint and concurrent
-// query endpoints (/sample, /size, /weight, /subsetsum). The hot path is
-// pipelined: ingest handlers stage batches on a small admission mutex (a
-// full staging queue answers 503 — bounded memory, explicit overload)
-// while a per-instance applier feeds the substrate in admission order;
-// read-only oracle queries ride a read lock, and sharded sample queries
-// fan per-shard work across a bounded worker pool — all byte-for-byte
-// seed-deterministic against the sequential path. Responses are
-// deterministic per seed, timestamp monotonicity is enforced as 4xx
+// query endpoints (/sample, /size, /weight, /subsetsum). Ingest has one
+// path: handlers stage batches on a small admission mutex (a full staging
+// queue answers 503 — bounded memory, explicit overload) while a
+// per-instance applier feeds the substrate in admission order; read-only
+// oracle queries ride a read lock, and sharded sample queries run their
+// per-shard sub-queries inline, in shard order, after the barrier — all
+// byte-for-byte what the same sampler driven directly answers. Responses
+// are deterministic per seed, timestamp monotonicity is enforced as 4xx
 // statuses instead of the library's errors/panics, and shutdown drains
 // every sampler's dispatcher barrier before stopping its shards. See
-// DESIGN.md §7, BENCH_5.json (cmd/swload before/after rows) and
+// DESIGN.md §7, BENCH_5.json (historical cmd/swload rows) and
 // `go doc ./cmd/swserve`.
 //
 // Because one sampler is only O(k·log n) words, the serving layer also

@@ -15,14 +15,14 @@ import (
 // (globally comparable log-keys), so the conditional Horvitz–Thompson
 // computation is identical to the sequential estimator's. What the
 // sharding adds on top is the dispatcher's per-shard weight oracles:
-// WeightAt reports a direct (1±eps) estimate of the total active weight —
-// the scale factor mean/share-style consumers need — without touching the
-// sketch, and SizeAt the matching (1±eps) active count.
+// TotalWeightAt reports a direct (1±eps) estimate of the total active
+// weight — the scale factor mean/share-style consumers need — without
+// touching the sketch, and SizeAt the matching (1±eps) active count.
 //
 // Drive ingest AND queries from one producer goroutine; EstimateAt and
 // TotalAt need a Barrier after the last Observe, exactly like every
-// sharded substrate, while WeightAt and SizeAt read dispatcher-side state
-// and need no barrier (they still belong to the producer goroutine).
+// sharded substrate, while TotalWeightAt and SizeAt read dispatcher-side
+// state and need no barrier (they still belong to the producer goroutine).
 type ShardedSubsetSumTS[T any] struct {
 	k int
 	s *parallel.ShardedWeightedTSWOR[T]
@@ -90,16 +90,16 @@ func (e *ShardedSubsetSumTS[T]) Estimate(pred func(T) bool) (float64, bool) {
 }
 
 // TotalAt estimates the total active weight W at time now through the
-// sketch (unbiased HT). For the direct (1±eps) oracle see WeightAt.
+// sketch (unbiased HT). For the direct (1±eps) oracle see TotalWeightAt.
 func (e *ShardedSubsetSumTS[T]) TotalAt(now int64) (float64, bool) {
 	return e.EstimateAt(now, func(T) bool { return true })
 }
 
-// WeightAt returns the (1±eps) active-weight total from the dispatcher's
-// per-shard weight oracles — the estimator's scale factor, available
-// without a barrier and without touching the sketch (producer-goroutine
-// only, like every method).
-func (e *ShardedSubsetSumTS[T]) WeightAt(now int64) float64 { return e.s.TotalWeightAt(now) }
+// TotalWeightAt returns the (1±eps) active-weight total from the
+// dispatcher's per-shard weight oracles — the estimator's scale factor,
+// available without a barrier and without touching the sketch
+// (producer-goroutine only, like every method).
+func (e *ShardedSubsetSumTS[T]) TotalWeightAt(now int64) float64 { return e.s.TotalWeightAt(now) }
 
 // SizeAt returns the (1±eps) effective window size n(t) at time now.
 func (e *ShardedSubsetSumTS[T]) SizeAt(now int64) uint64 { return e.s.SizeAt(now) }

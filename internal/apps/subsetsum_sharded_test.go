@@ -106,7 +106,7 @@ func TestShardedSubsetSumScaleOracles(t *testing.T) {
 		if wantW == 0 {
 			continue
 		}
-		if got := est.WeightAt(probe); math.Abs(got-wantW)/wantW > eps+1e-9 {
+		if got := est.TotalWeightAt(probe); math.Abs(got-wantW)/wantW > eps+1e-9 {
 			t.Fatalf("step %d: WeightAt=%g vs W(t)=%g", i, got, wantW)
 		}
 		if got := float64(est.SizeAt(probe)); math.Abs(got-wantN)/wantN > eps+1e-9 {

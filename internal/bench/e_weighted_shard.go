@@ -93,7 +93,7 @@ func runE19(cfg Config) {
 			sumErr += rel
 			sumSq += rel * rel
 			sumWords += float64(est.Words())
-			wErr += math.Abs(est.WeightAt(queryAt)/wTrue - 1)
+			wErr += math.Abs(est.TotalWeightAt(queryAt)/wTrue - 1)
 			if est.MaxWords() > peak {
 				peak = est.MaxWords()
 			}

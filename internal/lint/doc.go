@@ -4,7 +4,7 @@
 // session into a whole-repo static guarantee checked by `make lint`
 // (go vet -vettool over cmd/swlint):
 //
-//   - norandquery: query paths draw no randomness. The shard fan-out and
+//   - norandquery: query paths draw no randomness. The sharded-query and
 //     byte-determinism arguments of the serving layer (DESIGN.md §7) lean
 //     on queries being pure reads of sampler state; before this analyzer
 //     the invariant was pinned only by internal/weighted/norand_test.go.

@@ -44,7 +44,7 @@ var queryEntryPoints = map[string]bool{
 
 // queryScopedPkg reports whether entry points in this package are held to
 // the rng-free contract: the public root package and the three sampler
-// packages whose query determinism the fan-out proofs rely on. Other
+// packages whose query determinism the sharded-query proofs rely on. Other
 // packages still compute and export drawsRand facts (so taint introduced
 // there surfaces at a scoped entry point), they just have no entry points
 // of their own.

@@ -29,9 +29,10 @@
 // either single elements or pre-split batches (ObserveBatch splits a batch
 // round-robin and forwards each slice to its shard's batched hot path, so
 // the per-element channel overhead is amortized too). Barrier() flushes all
-// channels so queries observe a consistent prefix. This is a checkpointed
-// model: queries between barriers would race with in-flight elements, so
-// Sample panics unless the caller holds a barrier. The exported
+// channels so queries observe a consistent prefix; a query then runs on
+// the calling goroutine, one sub-query per shard in shard order. This is a
+// checkpointed model: queries between barriers would race with in-flight
+// elements, so Sample panics unless the caller holds a barrier. The exported
 // Barrier/Close hooks are what the layers above build their safety on —
 // the public wrappers and the HTTP serving layer barrier automatically
 // before every query, and shutdown drains a final barrier before Close
@@ -463,9 +464,8 @@ func (s *ShardedSeqWR[T]) windowSizes() ([]uint64, uint64) {
 // last min(count, n) elements. It panics if called without a Barrier since
 // the last Observe (the shard states would be racy and possibly skewed).
 //
-// Every shard's slot vector is fetched exactly once, fanned across the
-// forShards pool (SeqWR queries are read-only and draw-free, so the fetch
-// order cannot matter); the slot picks then run sequentially on the
+// Every shard's slot vector is fetched exactly once, in shard order (SeqWR
+// queries are read-only and draw-free); the slot picks then run on the
 // dispatcher rng, global slot j reading entry j of its chosen shard's
 // vector — entries are mutually independent, so the global law is
 // unchanged.
@@ -478,11 +478,11 @@ func (s *ShardedSeqWR[T]) Sample() ([]stream.Element[T], bool) {
 		return nil, false
 	}
 	vecs := make([][]stream.Element[T], s.g)
-	forShards(s.g, func(shard int) {
+	for shard := range s.g {
 		if es, ok := s.seq[shard].Sample(); ok {
 			vecs[shard] = es
 		}
-	})
+	}
 	out := make([]stream.Element[T], 0, s.k)
 	for slot := 0; slot < s.k; slot++ {
 		u := s.rng.Uint64n(total)
@@ -696,15 +696,15 @@ func (s *ShardedTSWR[T]) Close() { s.ts.d.close() }
 // SampleAt returns k elements, each active at time now and sampled with
 // probability (1±eps)/n, mutually independent. Panics without a Barrier.
 //
-// Every shard is queried exactly once, fanned across the forShards pool: a
-// shard's SampleAt yields a full k-vector of mutually independent slot
-// samples, so global slot j reads entry j of its chosen shard's vector
-// (one Θ(k log n) shard query serves every slot that picked the shard,
-// keeping the whole query Θ(k log n) rather than Θ(k² log n)). The
-// fetch-all schedule is also what keeps the query DETERMINISTIC: shard
-// queries draw from their shard-local rngs, so the set of shards queried —
-// not just the dispatcher's own draws — feeds future outputs; querying all
-// of them makes that set independent of the estimate and of the fan-out.
+// Every shard is queried exactly once, in shard order: a shard's SampleAt
+// yields a full k-vector of mutually independent slot samples, so global
+// slot j reads entry j of its chosen shard's vector (one Θ(k log n) shard
+// query serves every slot that picked the shard, keeping the whole query
+// Θ(k log n) rather than Θ(k² log n)). The fetch-all schedule is also what
+// keeps the query DETERMINISTIC: shard queries draw from their shard-local
+// rngs, so the set of shards queried — not just the dispatcher's own
+// draws — feeds future outputs; querying all of them makes that set
+// independent of the estimate.
 // Shards whose elements all expired (possible only within the eps error
 // band) have their weights dropped in shard order before any slot pick, so
 // a non-empty window never fails.
@@ -718,11 +718,11 @@ func (s *ShardedTSWR[T]) SampleAt(now int64) ([]stream.Element[T], bool) {
 		return nil, false
 	}
 	vecs := make([][]stream.Element[T], s.ts.g)
-	forShards(s.ts.g, func(shard int) {
+	for shard := range s.ts.g {
 		if es, ok := s.shards[shard].SampleAt(now); ok {
 			vecs[shard] = es
 		}
-	})
+	}
 	for shard := range vecs {
 		if vecs[shard] == nil && sizes[shard] > 0 {
 			total = s.ts.dropShard(shard)
@@ -813,11 +813,11 @@ func (s *ShardedTSWOR[T]) Close() { s.ts.d.close() }
 // without-replacement sample at time now (uniform up to the eps cross-shard
 // weighting error). Panics without a Barrier.
 //
-// Every shard's WOR sample is fetched exactly once, fanned across the
-// forShards pool; as with ShardedTSWR, the fetch-all schedule keeps the
-// shard-local rng streams independent of the estimate and the fan-out.
-// All dispatcher-side draws (the Floyd subset, the within-shard PickK
-// sub-sampling) run sequentially on the calling goroutine.
+// Every shard's WOR sample is fetched exactly once, in shard order; as
+// with ShardedTSWR, the fetch-all schedule keeps the shard-local rng
+// streams independent of the estimate. All dispatcher-side draws (the
+// Floyd subset, the within-shard PickK sub-sampling) follow on the same
+// goroutine.
 //
 //swlint:allow norandquery the cross-shard WOR merge draws its position picks at query time by contract; draws come from this sampler's own split rng in a fixed sequential order after all shard prefetches, so output is deterministic given admission and query order
 func (s *ShardedTSWOR[T]) SampleAt(now int64) ([]stream.Element[T], bool) {
@@ -828,11 +828,11 @@ func (s *ShardedTSWOR[T]) SampleAt(now int64) ([]stream.Element[T], bool) {
 		return nil, false
 	}
 	cache := make([][]stream.Element[T], s.ts.g)
-	forShards(s.ts.g, func(shard int) {
+	for shard := range s.ts.g {
 		if es, ok := s.shards[shard].SampleAt(now); ok {
 			cache[shard] = es
 		}
-	})
+	}
 	// Allocate the k slots across shards without replacement: draw m
 	// distinct positions out of the (estimated) n active ones and count how
 	// many land on each shard. total can be as large as the window, so the

@@ -214,11 +214,9 @@ func (w *wdispatch[T]) clock(now int64) int64 {
 // time) in a reused scratch slice — the weight analogue of
 // tsDispatch.weights. Callers mutate the slice only through dropShard.
 //
-// The per-shard SumAt scans fan across the forShards pool — each histogram
-// is shard-local and its queries are read-only (PR 3), so the scans are
-// independent — while the total is summed sequentially in shard index
-// order, keeping the float accumulation order (hence the cached total, and
-// every WR pick derived from it) independent of the fan-out schedule.
+// The per-shard SumAt scans are read-only and the total is summed in
+// shard index order, so the float accumulation order — hence the cached
+// total, and every WR pick derived from it — is fixed.
 func (w *wdispatch[T]) shardWeights(now int64) ([]float64, float64) {
 	if w.wcacheOK && w.wcacheCount == w.d.count && w.wcacheNow == now {
 		return w.wcache, w.wcacheTotal
@@ -226,12 +224,10 @@ func (w *wdispatch[T]) shardWeights(now int64) ([]float64, float64) {
 	if w.wcache == nil {
 		w.wcache = make([]float64, w.g)
 	}
-	forShards(w.g, func(i int) {
-		w.wcache[i] = w.wests[i].SumAt(now)
-	})
 	total := 0.0
-	for _, s := range w.wcache {
-		total += s
+	for i, est := range w.wests {
+		w.wcache[i] = est.SumAt(now)
+		total += w.wcache[i]
 	}
 	w.wcacheCount, w.wcacheNow, w.wcacheTotal, w.wcacheOK = w.d.count, now, total, true
 	return w.wcache, total
@@ -277,23 +273,22 @@ func (w *wdispatch[T]) words(peak bool) int {
 
 // drawSlots is the shared with-replacement query core: k slot picks over
 // the cached shard weights at the oracle clock `now`. Every shard's full
-// slot vector is fetched exactly once, fanned across the forShards pool
-// (the weighted samplers draw only at observe time, so shard queries are
-// draw-free and fetch order cannot matter); global slot j reads entry j of
-// its chosen shard's vector. Shards whose weight estimate is positive but
-// which turn out empty (possible only within the eps error band) have
-// their weights dropped in shard index order before any slot pick — the
-// float subtraction order is fixed, so the refined total is independent of
-// the fan-out schedule. When every weighted shard is empty a linear scan
-// finds any live one, so a non-empty window never fails.
+// slot vector is fetched exactly once, in shard order (the weighted
+// samplers draw only at observe time, so shard queries are draw-free);
+// global slot j reads entry j of its chosen shard's vector. Shards whose
+// weight estimate is positive but which turn out empty (possible only
+// within the eps error band) have their weights dropped in shard index
+// order before any slot pick, so the float subtraction order is fixed.
+// When every weighted shard is empty a linear scan finds any live one, so
+// a non-empty window never fails.
 func (w *wdispatch[T]) drawSlots(now int64, fetchShard func(shard int) ([]weighted.Item[T], bool)) ([]weighted.Item[T], bool) {
 	ws, total := w.shardWeights(now)
 	cache := make([][]weighted.Item[T], w.g)
-	forShards(w.g, func(shard int) {
+	for shard := range w.g {
 		if items, ok := fetchShard(shard); ok {
 			cache[shard] = items
 		}
-	})
+	}
 	for shard := range cache {
 		if len(cache[shard]) == 0 && ws[shard] > 0 {
 			total = w.dropShard(shard)
@@ -344,18 +339,16 @@ func pickShard(rng *xrand.Rand, weights []float64, total float64) int {
 	return last
 }
 
-// mergeShardItems fans fetchShard across the forShards pool — one
-// shard-local, draw-free skyband query per shard, each writing its own
-// result slot — then merges the per-shard lists on the calling goroutine
-// (mergeTopK), so the merged sample is byte-identical whatever the
-// fan-out. ok is false when every shard is empty.
+// mergeShardItems runs fetchShard once per shard in shard order — one
+// shard-local, draw-free skyband query each — then merges the per-shard
+// lists (mergeTopK). ok is false when every shard is empty.
 func mergeShardItems[T any](w *wdispatch[T], fetchShard func(shard int) ([]weighted.Item[T], bool)) ([]weighted.Item[T], bool) {
 	perShard := make([][]weighted.Item[T], w.g)
-	forShards(w.g, func(shard int) {
+	for shard := range w.g {
 		if items, ok := fetchShard(shard); ok {
 			perShard[shard] = items
 		}
-	})
+	}
 	out := mergeTopK(perShard, w.k)
 	return out, len(out) > 0
 }
@@ -474,11 +467,9 @@ func (s *ShardedWeightedTSWOR[T]) Close() { s.w.d.close() }
 // (each shard retains its slice's suffix-top-k, so the union's top-k is
 // the window's). Panics without a Barrier.
 //
-// The per-shard skyband queries fan across the forShards pool into
-// per-shard result slots, each already a bounded top-k selection in
-// decreasing key order; the k-way merge of those lists then runs on the
-// calling goroutine, so the answer is the same whatever the fan-out
-// schedule. Exact key ties rank the smaller global arrival index first.
+// Each shard's skyband query is already a bounded top-k selection in
+// decreasing key order; the k-way merge of those lists follows in shard
+// order. Exact key ties rank the smaller global arrival index first.
 func (s *ShardedWeightedTSWOR[T]) ItemsAt(now int64) ([]weighted.Item[T], bool) {
 	s.w.d.requireSynced()
 	now = s.w.clock(now)
@@ -701,8 +692,7 @@ func (s *ShardedWeightedSeqWOR[T]) Close() { s.w.d.close() }
 
 // Items returns the weighted sample over the last min(count, n) elements —
 // the exact merged top-k in decreasing key order. The per-shard skyband
-// queries fan across the forShards pool and their sorted lists are k-way
-// merged on the calling goroutine, ties by global index (see
+// queries' sorted lists are k-way merged, ties by global index (see
 // ShardedWeightedTSWOR.ItemsAt). Panics without a Barrier.
 func (s *ShardedWeightedSeqWOR[T]) Items() ([]weighted.Item[T], bool) {
 	s.w.d.requireSynced()

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"slidingsample/internal/parallel"
 	"slidingsample/internal/stream"
 )
 
@@ -39,18 +38,9 @@ func benchBody(i int) string {
 	return sb.String()
 }
 
-// benchServer builds a fresh registry + HTTP server under the requested
-// ingest mode and restores the pipelined default on cleanup.
-func benchServer(b *testing.B, pipelined bool) (*httptest.Server, *http.Client) {
+// benchServer builds a fresh registry + HTTP server.
+func benchServer(b *testing.B) (*httptest.Server, *http.Client) {
 	b.Helper()
-	SetPipelinedIngest(pipelined)
-	if !pipelined {
-		parallel.SetQueryFanout(1)
-	}
-	b.Cleanup(func() {
-		SetPipelinedIngest(true)
-		parallel.SetQueryFanout(0)
-	})
 	s := NewServer()
 	if _, err := s.Register("bench", benchSpec); err != nil {
 		b.Fatal(err)
@@ -61,28 +51,22 @@ func benchServer(b *testing.B, pipelined bool) (*httptest.Server, *http.Client) 
 	return ts, client
 }
 
-// benchModes runs fn once per ingest mode and client count — the grid the
-// BENCH_5 before/after rows are drawn from.
-func benchModes(b *testing.B, fn func(b *testing.B, pipelined bool, clients int)) {
-	for _, mode := range []struct {
-		name      string
-		pipelined bool
-	}{{"legacy", false}, {"pipelined", true}} {
-		for _, clients := range []int{1, 4, 8} {
-			b.Run(fmt.Sprintf("%s/clients=%d", mode.name, clients), func(b *testing.B) {
-				fn(b, mode.pipelined, clients)
-			})
-		}
+// benchClients runs fn once per client count.
+func benchClients(b *testing.B, fn func(b *testing.B, clients int)) {
+	for _, clients := range []int{1, 4, 8} {
+		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
+			fn(b, clients)
+		})
 	}
 }
 
 // BenchmarkHTTPIngest measures concurrent batched ingest through the real
 // HTTP stack: b.N batches of benchBatch weighted values split across the
 // client goroutines. 503 responses are retried (they are part of the
-// pipelined path's contract, not an error).
+// staging queue's contract, not an error).
 func BenchmarkHTTPIngest(b *testing.B) {
-	benchModes(b, func(b *testing.B, pipelined bool, clients int) {
-		ts, client := benchServer(b, pipelined)
+	benchClients(b, func(b *testing.B, clients int) {
+		ts, client := benchServer(b)
 		var next atomic.Int64
 		b.ResetTimer()
 		var wg sync.WaitGroup
@@ -126,8 +110,8 @@ func BenchmarkHTTPIngest(b *testing.B) {
 // a prefilled instance, with one background producer keeping ingest hot —
 // the serving mix the lock split targets.
 func BenchmarkHTTPQuery(b *testing.B) {
-	benchModes(b, func(b *testing.B, pipelined bool, clients int) {
-		ts, client := benchServer(b, pipelined)
+	benchClients(b, func(b *testing.B, clients int) {
+		ts, client := benchServer(b)
 		for i := 0; i < 8; i++ {
 			resp, err := client.Post(ts.URL+"/ingest/bench", "application/json", strings.NewReader(benchBody(i)))
 			if err != nil {
@@ -234,7 +218,7 @@ func BenchmarkIngestDecode(b *testing.B) {
 				if tc.ndjson {
 					req.Header.Set("Content-Type", "application/x-ndjson")
 				}
-				if _, err := decodeIngestBody(req, IngestRequest{}); err != nil {
+				if _, _, err := decodeIngestBody(req, IngestRequest{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -135,8 +135,8 @@ type walStore interface {
 }
 
 // walFile is one instance's append-only ingest log. Appends happen under
-// the instance's admission lock (qmu; mu on the legacy path), so the log
-// order is the admission order; that lock also guards off and broken.
+// the instance's admission lock (qmu), so the log order is the admission
+// order; that lock also guards off and broken.
 type walFile struct {
 	f      walStore
 	off    int64 // end of the last batch written in full

@@ -294,7 +294,7 @@ func TestE2ESubsetSumMatchesDirectEstimator(t *testing.T) {
 	if err := json.Unmarshal([]byte(resp), &wt); err != nil {
 		t.Fatal(err)
 	}
-	if want := direct.WeightAt(now); wt["weight"] != want {
+	if want := direct.TotalWeightAt(now); wt["weight"] != want {
 		t.Fatalf("weight: HTTP %v vs direct %v", wt["weight"], want)
 	}
 }

@@ -3,7 +3,9 @@ package serve
 // Network-decoder fuzzing at the handler: whatever bytes arrive at an
 // ingest endpoint, the answer is either a 2xx with the sampler advanced by
 // exactly the batch, or a 4xx with the sampler untouched — never a 5xx,
-// never a panic. Explore beyond the seed corpus with:
+// never a panic. A fabric tenant built from the same template must answer
+// the same bytes with the same status and body (DESIGN.md §9: a tenant
+// behaves like a solo named instance). Explore beyond the seed corpus with:
 //
 //	go test -run '^$' -fuzz FuzzIngestHandler ./internal/serve/
 
@@ -35,11 +37,16 @@ func serveRecorded(s *Server, method, path, contentType string, body []byte) *ht
 
 // postIngest sends one ingest body through the handler in process.
 func postIngest(s *Server, name string, ndjson bool, body []byte) *httptest.ResponseRecorder {
+	return postIngestTo(s, "/ingest/"+name, ndjson, body)
+}
+
+// postIngestTo sends one ingest body to an ingest route in process.
+func postIngestTo(s *Server, path string, ndjson bool, body []byte) *httptest.ResponseRecorder {
 	contentType := "application/json"
 	if ndjson {
 		contentType = "application/x-ndjson"
 	}
-	return serveRecorded(s, http.MethodPost, "/ingest/"+name, contentType, body)
+	return serveRecorded(s, http.MethodPost, path, contentType, body)
 }
 
 func FuzzIngestHandler(f *testing.F) {
@@ -47,7 +54,9 @@ func FuzzIngestHandler(f *testing.F) {
 		f.Add([]byte(tc.body), tc.ct == "application/x-ndjson", tc.target != "/ingest/seq")
 	}
 	for _, body := range ingestDiffCorpus {
-		f.Add([]byte(body), strings.Contains(body, `"value"`), strings.Contains(body, "ts"))
+		for _, timed := range []bool{false, true} {
+			f.Add([]byte(body), strings.Contains(body, `"value"`), timed)
+		}
 	}
 	f.Fuzz(func(t *testing.T, body []byte, ndjson, timed bool) {
 		spec := fuzzIngestTargets[0]
@@ -60,7 +69,14 @@ func FuzzIngestHandler(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if _, err := s.RegisterFabric("fab", spec, 0); err != nil {
+			t.Fatal(err)
+		}
 		rec := postIngest(s, "f", ndjson, body)
+		tenant := postIngestTo(s, "/tenant/fab/t/ingest", ndjson, body)
+		if tenant.Code != rec.Code || tenant.Body.String() != rec.Body.String() {
+			t.Fatalf("tenant route answered %d %s, named route %d %s: %q", tenant.Code, tenant.Body, rec.Code, rec.Body, body)
+		}
 		count, _, _, _ := inst.Stats()
 		switch code := rec.Code; {
 		case code >= 200 && code < 300:

@@ -27,20 +27,6 @@ const (
 	maxQueuedBatches = 4096
 )
 
-// legacyIngest switches instances built afterwards to the pre-pipeline
-// ingest path (the whole validate+apply under the write lock). It exists
-// for benchmarking the pipeline against its predecessor — BENCH_5.json's
-// "before" rows — and as an operational escape hatch; see
-// SetPipelinedIngest.
-var legacyIngest atomic.Bool
-
-// SetPipelinedIngest selects the ingest path for instances built AFTER the
-// call: pipelined (the default — lock-free admission into a staging queue,
-// one applier goroutine) or legacy (validate and apply while holding the
-// instance write lock). Existing instances keep the path they were built
-// with.
-func SetPipelinedIngest(on bool) { legacyIngest.Store(!on) }
-
 // stagedBatch is one admitted-but-unapplied ingest batch: the element
 // slice ready for ObserveBatch, plus the explicit weights when the request
 // carried them.
@@ -85,10 +71,6 @@ func wireCaps(built any) caps {
 	}
 	if s, ok := built.(interface{ TotalWeightAt(int64) float64 }); ok {
 		c.weigher = s.TotalWeightAt
-	} else if s, ok := built.(interface{ WeightAt(int64) float64 }); ok {
-		// The sharded subset-sum estimator names its dispatcher-side
-		// weight oracle WeightAt (TotalAt is the HT estimate).
-		c.weigher = s.WeightAt
 	} else if s, ok := built.(interface{ TotalWeight() float64 }); ok {
 		// Sequence-window sharded weighted samplers: the oracle is clocked
 		// on the arrival index, so the query takes no time argument (and
@@ -162,8 +144,7 @@ type Instance struct {
 	closed       bool
 	stopping     bool // applier shutdown flag
 
-	queueCap int  // staged-element bound (MaxQueuedIngestEvents; tests shrink it)
-	legacy   bool // pre-pipeline ingest path (SetPipelinedIngest(false))
+	queueCap int // staged-element bound (MaxQueuedIngestEvents; tests shrink it)
 
 	// statsClean is true while the substrate's footprint walk is safe under
 	// the read lock: no staged batches, and a barrier has flushed every
@@ -176,11 +157,6 @@ type Instance struct {
 	// /weight rides the SHARED lock: concurrent scrapes serialize only
 	// against each other on this small mutex, not against ingest.
 	oracleMu sync.Mutex
-
-	// scratch is the legacy ingest path's reused batch buffer (guarded by
-	// mu; the substrates consume batches synchronously, so it is reusable
-	// as soon as the observe call returns).
-	scratch []stream.Element[string]
 
 	// built is the substrate behind the capability views, kept for the
 	// snapshot codec (substrate.Snapshot re-resolves it by spec name).
@@ -204,7 +180,6 @@ func newInstance(spec Spec, built any) *Instance {
 	inst.workCond = sync.NewCond(&inst.qmu)
 	inst.appliedCond = sync.NewCond(&inst.qmu)
 	inst.queueCap = MaxQueuedIngestEvents
-	inst.legacy = legacyIngest.Load()
 	go inst.runApplier()
 	return inst
 }
@@ -271,55 +246,62 @@ func (in *Instance) applyLocked(batches []stagedBatch) {
 	in.qmu.Unlock()
 }
 
-// Ingest validates and admits one batch. values is required; timestamps is
-// required in ts mode and must be absent in seq mode; weights is optional
-// and only accepted on substrates with a precomputed-weight ingest path.
-// The whole batch is validated before anything is committed, so a rejected
-// batch leaves the instance untouched.
-//
-// On the pipelined path the handler returns as soon as the batch is
-// ADMITTED — sequence-numbered and staged under qmu — without waiting for
-// the substrate; the applier (or the next draining query) applies staged
-// batches in admission order, which is what keeps the draws byte-identical
-// to a sequential run over the same admission order. A full staging queue
-// is an explicit ErrOverloaded (HTTP 503), never unbounded memory.
-func (in *Instance) Ingest(values []string, timestamps []int64, weights []float64) (uint64, error) {
-	if in.seqMode() {
+// checkBatch is the batch validation every ingest route shares, run before
+// anything is committed. A nil slice is an absent field and a non-nil one
+// is present, even when empty: timestamps are required in ts mode and must
+// be absent in seq mode; present weights need a substrate with a
+// precomputed-weight ingest path (weightsOK), one per value, each positive
+// and finite; and timestamps must not decrease within the batch. It needs
+// no instance state, so callers run it outside their locks, and it returns
+// the batch's first and last timestamps for the cross-batch clock check.
+func checkBatch(seqMode, weightsOK bool, values []string, timestamps []int64, weights []float64) (first, last int64, err error) {
+	if seqMode {
 		if timestamps != nil {
-			return 0, ErrBatchShape
+			return 0, 0, ErrBatchShape
 		}
 	} else if len(timestamps) != len(values) {
-		return 0, ErrBatchShape
+		return 0, 0, ErrBatchShape
 	}
 	if weights != nil {
-		if in.weighted == nil {
-			return 0, ErrWeightsUnsupported
+		if !weightsOK {
+			return 0, 0, ErrWeightsUnsupported
 		}
 		if len(weights) != len(values) {
-			return 0, ErrBatchShape
+			return 0, 0, ErrBatchShape
 		}
 		for _, w := range weights {
 			if !(w > 0) || w > maxFinite {
-				return 0, ErrBadWeight
+				return 0, 0, ErrBadWeight
 			}
 		}
 	}
-	if in.legacy {
-		return in.ingestLegacy(values, timestamps, weights)
+	if len(timestamps) == 0 {
+		return 0, 0, nil
 	}
-	// Within-batch timestamp monotonicity needs no instance state; check it
-	// outside the locks so qmu holds only the clock handoff.
-	var first, lastTS int64
-	if len(timestamps) > 0 {
-		first = timestamps[0]
-		prev := first
-		for _, ts := range timestamps[1:] {
-			if ts < prev {
-				return 0, ErrTimeBackwards
-			}
-			prev = ts
+	first, last = timestamps[0], timestamps[0]
+	for _, ts := range timestamps[1:] {
+		if ts < last {
+			return 0, 0, ErrTimeBackwards
 		}
-		lastTS = prev
+		last = ts
+	}
+	return first, last, nil
+}
+
+// Ingest validates (checkBatch) and admits one batch: values is required,
+// timestamps and weights follow the window mode and the substrate. A
+// rejected batch leaves the instance untouched.
+//
+// Ingest returns as soon as the batch is ADMITTED — sequence-numbered and
+// staged under qmu — without waiting for the substrate; the applier (or
+// the next draining query) applies staged batches in admission order,
+// which is what keeps the draws byte-identical to a sequential run over
+// the same admission order. A full staging queue is an explicit
+// ErrOverloaded (HTTP 503), never unbounded memory.
+func (in *Instance) Ingest(values []string, timestamps []int64, weights []float64) (uint64, error) {
+	first, lastTS, err := checkBatch(in.seqMode(), in.weighted != nil, values, timestamps, weights)
+	if err != nil {
+		return 0, err
 	}
 	if len(values) == 0 {
 		in.qmu.Lock()
@@ -340,7 +322,6 @@ func (in *Instance) Ingest(values []string, timestamps []int64, weights []float6
 	// qmu so the log order IS the admission order.
 	var walBuf []byte
 	if in.wal != nil {
-		var err error
 		walBuf, err = encodeWALBatch(elems, weights, !in.seqMode())
 		if err != nil {
 			return 0, err
@@ -384,80 +365,6 @@ func (in *Instance) admit(elems []stream.Element[string], weights []float64, fir
 	total := in.events
 	in.workCond.Signal()
 	return total, nil
-}
-
-// ingestLegacy is the pre-pipeline ingest path: the whole validate+apply
-// under the write lock, kept selectable (SetPipelinedIngest) for
-// benchmarking the pipeline against it.
-func (in *Instance) ingestLegacy(values []string, timestamps []int64, weights []float64) (uint64, error) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	closed, last, begun := in.admissionState()
-	if closed {
-		return 0, ErrClosed
-	}
-	if len(values) == 0 {
-		return in.ing.Count(), nil
-	}
-	for _, ts := range timestamps {
-		if begun && ts < last {
-			return 0, ErrTimeBackwards
-		}
-		begun, last = true, ts
-	}
-	batch := in.scratch[:0]
-	if cap(batch) < len(values) {
-		batch = make([]stream.Element[string], 0, len(values))
-	}
-	for i, v := range values {
-		e := stream.Element[string]{Value: v}
-		if timestamps != nil {
-			e.TS = timestamps[i]
-		}
-		batch = append(batch, e)
-	}
-	if in.wal != nil {
-		buf, err := encodeWALBatch(batch, weights, !in.seqMode())
-		if err != nil {
-			return 0, err
-		}
-		if err := in.wal.append(buf); err != nil {
-			return 0, err
-		}
-	}
-	if weights != nil {
-		in.weighted.ObserveWeightedBatch(batch, weights)
-	} else {
-		in.ing.ObserveBatch(batch)
-	}
-	if cap(batch) > stream.MaxRecycledCap {
-		in.scratch = nil
-	} else {
-		clear(batch) // release the payload strings
-		in.scratch = batch[:0]
-	}
-	in.statsClean.Store(false)
-	return in.publishLegacy(last, begun), nil
-}
-
-// admissionState snapshots the qmu-guarded admission flags for the
-// legacy path's pre-checks.
-func (in *Instance) admissionState() (closed bool, last int64, begun bool) {
-	in.qmu.Lock()
-	defer in.qmu.Unlock()
-	return in.closed, in.last, in.begun
-}
-
-// publishLegacy writes the legacy path's advanced stream clock and event
-// count back into the qmu-guarded admission state.
-func (in *Instance) publishLegacy(last int64, begun bool) (total uint64) {
-	in.qmu.Lock()
-	defer in.qmu.Unlock()
-	if !in.seqMode() {
-		in.last, in.begun = last, begun
-	}
-	in.events = in.ing.Count()
-	return in.events
 }
 
 // maxFinite rejects +Inf (and, via the w > 0 guard, NaN) without pulling

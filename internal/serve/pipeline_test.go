@@ -1,13 +1,15 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 
-	"slidingsample/internal/parallel"
+	"slidingsample/internal/stream"
+	"slidingsample/internal/substrate"
 )
 
 // pipelineSpecs is the four sharded weighted substrates the determinism
@@ -22,81 +24,137 @@ var pipelineSpecs = map[string]Spec{
 	"utswor":  {Mode: "ts", Sampler: "sharded-wor", T0: 60, K: 5, G: 4, Seed: 16},
 }
 
-// pipelineTranscript drives one server through a fixed sequential request
-// script — batched ingest, samples, oracles — and returns the concatenated
-// response bodies. The script is identical across calls, so two servers
-// with equal seeds must return byte-identical transcripts.
-func pipelineTranscript(t *testing.T, names []string) string {
-	t.Helper()
+// TestPipelineMatchesDirectSamplers is the serving layer's determinism
+// regression: every response to a fixed sequential request script —
+// batched ingest, then /sample, /size and /weight on every instance — is
+// byte-identical to what the same spec built by substrate.New answers when
+// fed the same batches directly. Staging, the applier and the inline shard
+// queries add plumbing, never randomness or reordering; the check covers
+// all four sharded weighted substrates and the sharded uniform ones, whose
+// shard-local rngs also draw at query time.
+func TestPipelineMatchesDirectSamplers(t *testing.T) {
+	names := []string{"wtswor", "wtswr", "wseqwor", "wseqwr", "utswr", "utswor"}
 	s := NewServer()
-	for _, name := range names {
-		if _, err := s.Register(name, pipelineSpecs[name]); err != nil {
-			t.Fatalf("register %s: %v", name, err)
-		}
-	}
 	ts := httptest.NewServer(s)
 	defer func() { ts.Close(); s.Close() }()
+	insts := make(map[string]*Instance, len(names))
+	direct := make(map[string]any, len(names))
+	for _, name := range names {
+		inst, err := s.Register(name, pipelineSpecs[name])
+		if err != nil {
+			t.Fatalf("register %s: %v", name, err)
+		}
+		built, _, err := substrate.New(pipelineSpecs[name])
+		if err != nil {
+			t.Fatalf("build %s: %v", name, err)
+		}
+		defer built.(interface{ Close() }).Close()
+		insts[name], direct[name] = inst, built
+	}
+	render := func(v any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	unsupported := render(errResponse{Error: ErrUnsupported.Error()})
+	check := func(what string, code int, body string, wantCode int, want string) {
+		t.Helper()
+		if code != wantCode || body != want {
+			t.Fatalf("%s: served %d %s, direct sampler %d %s", what, code, body, wantCode, want)
+		}
+	}
 
-	var out strings.Builder
 	now := int64(0)
 	idx := 0
 	for round := 0; round < 8; round++ {
-		var vals, tstamps, weights []string
-		for i := 0; i < 23; i++ {
-			if i%4 != 3 {
-				now++
+		// Pin every application lock while the round's batches are posted
+		// (admission needs only qmu), so they all stage and one drain
+		// applies several batches: the order the queue must keep.
+		func() {
+			for _, name := range names {
+				insts[name].mu.Lock()
+				defer insts[name].mu.Unlock()
 			}
-			vals = append(vals, fmt.Sprintf("%q", fmt.Sprintf("v%d", idx)))
-			tstamps = append(tstamps, fmt.Sprintf("%d", now))
-			weights = append(weights, fmt.Sprintf("%d.25", idx%9+1))
-			idx++
-		}
-		for _, name := range names {
-			body := `{"values":[` + strings.Join(vals, ",") + `]`
-			if pipelineSpecs[name].Mode == "ts" {
-				body += `,"timestamps":[` + strings.Join(tstamps, ",") + `]`
-			}
-			if strings.Contains(pipelineSpecs[name].Sampler, "weighted") {
-				body += `,"weights":[` + strings.Join(weights, ",") + `]`
-			}
-			body += `}`
-			code, resp := post(t, ts.URL+"/ingest/"+name, body)
-			wantStatus(t, code, 200, resp)
-			out.WriteString(resp)
-		}
-		for _, name := range names {
-			for _, ep := range []string{"/sample/", "/size/", "/weight/"} {
-				code, resp := get(t, ts.URL+ep+name)
-				if code != 200 && code != 400 { // 400: capability absent on this substrate
-					t.Fatalf("GET %s%s: status %d (%s)", ep, name, code, resp)
+			for batchNo := 0; batchNo < 3; batchNo++ {
+				var vals []string
+				var tstamps []int64
+				var weights []float64
+				for i := 0; i < 5+batchNo*3; i++ {
+					if i%4 != 3 {
+						now++
+					}
+					vals = append(vals, fmt.Sprintf("v%d", idx))
+					tstamps = append(tstamps, now)
+					weights = append(weights, float64(idx%9+1)+0.25)
+					idx++
 				}
-				out.WriteString(resp)
+				for _, name := range names {
+					spec := pipelineSpecs[name]
+					req := IngestRequest{Values: vals}
+					batch := make([]stream.Element[string], len(vals))
+					for i, v := range vals {
+						batch[i] = stream.Element[string]{Value: v}
+					}
+					if spec.Mode == "ts" {
+						req.Timestamps = tstamps
+						for i := range batch {
+							batch[i].TS = tstamps[i]
+						}
+					}
+					d := direct[name].(ingester)
+					if strings.Contains(spec.Sampler, "weighted") {
+						req.Weights = weights
+						direct[name].(weightedIngester).ObserveWeightedBatch(batch, weights)
+					} else {
+						d.ObserveBatch(batch)
+					}
+					code, body := post(t, ts.URL+"/ingest/"+name, render(req))
+					check("ingest "+name, code, body, 200, render(IngestResponse{Ingested: len(vals), Count: d.Count()}))
+				}
 			}
+		}()
+		for _, name := range names {
+			d := direct[name]
+			seq := pipelineSpecs[name].Mode == "seq"
+			clock := now // the stream clock each query resolves to
+			if seq {
+				clock = 0
+			}
+
+			d.(interface{ Barrier() }).Barrier()
+			var es []stream.Element[string]
+			var ok bool
+			if seq {
+				es, ok = d.(stream.Sampler[string]).Sample()
+			} else {
+				es, ok = d.(stream.TimedSampler[string]).SampleAt(clock)
+			}
+			resp := SampleResponse{OK: ok}
+			for _, e := range es {
+				resp.Sample = append(resp.Sample, SampledElement{Value: e.Value, Index: e.Index, TS: e.TS})
+			}
+			code, body := get(t, ts.URL+"/sample/"+name)
+			check("sample "+name, code, body, 200, render(resp))
+
+			wantCode, want := 400, unsupported
+			if sz, ok := d.(interface{ SizeAt(int64) uint64 }); ok {
+				wantCode, want = 200, render(map[string]uint64{"size": sz.SizeAt(clock)})
+			}
+			code, body = get(t, ts.URL+"/size/"+name)
+			check("size "+name, code, body, wantCode, want)
+
+			wantCode, want = 400, unsupported
+			switch w := d.(type) {
+			case interface{ TotalWeightAt(int64) float64 }:
+				wantCode, want = 200, render(map[string]float64{"weight": w.TotalWeightAt(clock)})
+			case interface{ TotalWeight() float64 }:
+				wantCode, want = 200, render(map[string]float64{"weight": w.TotalWeight()})
+			}
+			code, body = get(t, ts.URL+"/weight/"+name)
+			check("weight "+name, code, body, wantCode, want)
 		}
-	}
-	return out.String()
-}
-
-// TestPipelinedMatchesLegacyIngest is the acceptance-criterion determinism
-// regression: the pipelined staging-queue ingest path plus the parallel
-// shard fan-out produce responses byte-identical to the legacy
-// lock-everything ingest path with sequential shard queries, under equal
-// seeds and an equal request order — for all four sharded weighted
-// substrates and the sharded uniform ones.
-func TestPipelinedMatchesLegacyIngest(t *testing.T) {
-	names := []string{"wtswor", "wtswr", "wseqwor", "wseqwr", "utswr", "utswor"}
-
-	SetPipelinedIngest(false)
-	parallel.SetQueryFanout(1)
-	legacy := pipelineTranscript(t, names)
-
-	SetPipelinedIngest(true)
-	parallel.SetQueryFanout(8)
-	t.Cleanup(func() { parallel.SetQueryFanout(0) })
-	pipelined := pipelineTranscript(t, names)
-
-	if legacy != pipelined {
-		t.Fatalf("pipelined+fanout transcript diverges from legacy+sequential\nlegacy:    %.400s\npipelined: %.400s", legacy, pipelined)
 	}
 }
 

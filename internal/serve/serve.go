@@ -9,22 +9,22 @@
 // Concurrency model (per registered instance; DESIGN.md §7 has the full
 // argument):
 //
-//   - Ingest is PIPELINED: handlers validate outside any lock, then hold a
-//     small admission mutex just long enough to check the monotone stream
-//     clock and the staging bounds and append the batch to a per-instance
-//     staging queue — concurrent producers admit back to back without
-//     waiting for sampler work. A single per-instance applier goroutine
-//     drains the queue in admission order into ObserveBatch /
-//     ObserveWeightedBatch under the write lock. The queue is bounded
-//     (MaxQueuedIngestEvents); admission past the bound is an explicit
-//     ErrOverloaded (HTTP 503), never unbounded memory.
+//   - Ingest has one path, the staging queue: handlers validate outside
+//     any lock, then hold a small admission mutex just long enough to
+//     check the monotone stream clock and the staging bounds and append
+//     the batch to a per-instance staging queue — concurrent producers
+//     admit back to back without waiting for sampler work. A single
+//     per-instance applier goroutine drains the queue in admission order
+//     into ObserveBatch / ObserveWeightedBatch under the write lock. The
+//     queue is bounded (MaxQueuedIngestEvents); admission past the bound
+//     is an explicit ErrOverloaded (HTTP 503), never unbounded memory.
 //   - Clock-advancing queries (/sample, /subsetsum) hold the WRITE lock:
 //     they fix their serialization point under the admission mutex
 //     (snapshotting the staged prefix and the clock atomically), drain
 //     that prefix themselves, barrier, and query — so every response is a
 //     deterministic function of the admission order, applier timing be
-//     damned. On sharded substrates the per-shard sub-queries then fan out
-//     across internal/parallel's bounded worker pool.
+//     damned. On sharded substrates the per-shard sub-queries then run on
+//     the handler's goroutine, one per shard in shard order.
 //   - /size holds the READ lock: SizeAt is a read-only query end to end —
 //     ehist.Counter.EstimateAt neither advances the clock nor expires
 //     buckets (made so in PR 3 precisely for this path). It first waits

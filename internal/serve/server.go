@@ -455,7 +455,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	req, err := decodeIngestBody(r, IngestRequest{})
+	req, _, err := decodeIngestBody(r, IngestRequest{})
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -468,12 +468,19 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, IngestResponse{Ingested: len(req.Values), Count: count})
 }
 
+// ingestFields records which optional fields an ingest body carried. From
+// the zero IngestRequest a decoded field is non-nil exactly when present;
+// decoded into recycled slices it stays non-nil either way, so the tenant
+// handler reads presence here.
+type ingestFields struct{ timestamps, weights bool }
+
 // decodeIngestBody parses an ingest request body — NDJSON under
 // Content-Type application/x-ndjson, a JSON IngestRequest otherwise —
 // appending into the slices req arrives with (the tenant handlers pass
-// slab-recycled scratch; the named path passes the zero value). Both go
-// through the wire codec (wire.go).
-func decodeIngestBody(r *http.Request, req IngestRequest) (IngestRequest, error) {
+// slab-recycled scratch; the named path passes the zero value), and reports
+// which optional fields the body carried. Both go through the wire codec
+// (wire.go).
+func decodeIngestBody(r *http.Request, req IngestRequest) (IngestRequest, ingestFields, error) {
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/x-ndjson") {
 		return parseNDJSON(r, req)
 	}
@@ -496,7 +503,7 @@ const (
 // nil-ness — because recycled scratch slices are non-nil while empty.
 // The line buffer is pooled (wireBufs); each line is decoded in place and
 // every value copied out, so nothing references the buffer afterwards.
-func parseNDJSON(r *http.Request, req IngestRequest) (IngestRequest, error) {
+func parseNDJSON(r *http.Request, req IngestRequest) (IngestRequest, ingestFields, error) {
 	buf := wireBufs.Get(initialNDJSONBufBytes)
 	defer wireBufs.Put(buf)
 	sc := bufio.NewScanner(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
@@ -511,16 +518,16 @@ func parseNDJSON(r *http.Request, req IngestRequest) (IngestRequest, error) {
 		}
 		rec, err := decodeNDJSONRecord(raw)
 		if err != nil {
-			return req, fmt.Errorf("serve: bad NDJSON record on line %d: %w", line, err)
+			return req, ingestFields{}, fmt.Errorf("serve: bad NDJSON record on line %d: %w", line, err)
 		}
 		if len(req.Values) == 0 {
 			hasTS, hasW = rec.hasTS, rec.hasW
 		} else {
 			if rec.hasTS != hasTS {
-				return req, fmt.Errorf("serve: ragged NDJSON batch: line %d switches ts presence", line)
+				return req, ingestFields{}, fmt.Errorf("serve: ragged NDJSON batch: line %d switches ts presence", line)
 			}
 			if rec.hasW != hasW {
-				return req, fmt.Errorf("serve: ragged NDJSON batch: line %d switches weight presence", line)
+				return req, ingestFields{}, fmt.Errorf("serve: ragged NDJSON batch: line %d switches weight presence", line)
 			}
 		}
 		req.Values = append(req.Values, rec.value)
@@ -533,11 +540,11 @@ func parseNDJSON(r *http.Request, req IngestRequest) (IngestRequest, error) {
 	}
 	if err := sc.Err(); err != nil {
 		if errors.Is(err, bufio.ErrTooLong) {
-			return req, fmt.Errorf("%w (%d bytes; split the batch or use the JSON body)", ErrLineTooLong, maxNDJSONLineBytes)
+			return req, ingestFields{}, fmt.Errorf("%w (%d bytes; split the batch or use the JSON body)", ErrLineTooLong, maxNDJSONLineBytes)
 		}
-		return req, fmt.Errorf("serve: bad NDJSON body: %w", err)
+		return req, ingestFields{}, fmt.Errorf("serve: bad NDJSON body: %w", err)
 	}
-	return req, nil
+	return req, ingestFields{timestamps: hasTS, weights: hasW}, nil
 }
 
 func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
@@ -753,14 +760,23 @@ func (s *Server) handleTenantIngest(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	req, err := decodeIngestBody(r, IngestRequest{
+	req, has, err := decodeIngestBody(r, IngestRequest{
 		Values:     tenantValuesPool.Get(0),
 		Timestamps: tenantTSPool.Get(0),
 		Weights:    tenantWeightsPool.Get(0),
 	})
 	if err == nil {
+		// The named route's batch rule: a field the body did not carry is
+		// nil. The pooled slices still go back to the pools below.
+		ts, ws := req.Timestamps, req.Weights
+		if !has.timestamps {
+			ts = nil
+		}
+		if !has.weights {
+			ws = nil
+		}
 		var count uint64
-		count, err = f.Ingest(r.PathValue("id"), req.Values, req.Timestamps, req.Weights)
+		count, err = f.Ingest(r.PathValue("id"), req.Values, ts, ws)
 		if err == nil {
 			writeJSON(w, http.StatusOK, IngestResponse{Ingested: len(req.Values), Count: count})
 		}

@@ -245,53 +245,19 @@ func (f *Fabric) createTenant(st *tenantStripe, id string) (*tenant, error) {
 }
 
 // Ingest validates and applies one batch for the tenant, creating the
-// tenant on first arrival. Validation runs outside every lock and the whole
-// batch is validated before anything commits, so a rejected batch leaves
-// the fabric untouched — including tenant creation: an invalid batch never
-// creates its tenant, and an EMPTY batch (no arrival) does not either; it
-// reports the existing tenant's count, or 0 for a tenant that does not
-// exist yet.
-//
-// Batch-shape checks are length-based here (empty means absent): the
-// handler feeds slab-recycled slices, which are non-nil even when the
-// request omitted the field.
+// tenant on first arrival. The batch checks are a named instance's
+// (checkBatch: a nil slice is an absent field) and run before anything is
+// created or locked, so a rejected batch leaves the fabric untouched —
+// including tenant creation: an invalid batch never creates its tenant,
+// and an EMPTY batch (no arrival) does not either; it reports the existing
+// tenant's count, or 0 for a tenant that does not exist yet.
 func (f *Fabric) Ingest(id string, values []string, timestamps []int64, weights []float64) (uint64, error) {
 	if f.closed.Load() {
 		return 0, ErrClosed
 	}
-	if f.seqMode() {
-		if len(timestamps) > 0 {
-			return 0, ErrBatchShape
-		}
-	} else if len(timestamps) != len(values) {
-		return 0, ErrBatchShape
-	}
-	if len(weights) > 0 {
-		if !f.weightedOK {
-			return 0, ErrWeightsUnsupported
-		}
-		if len(weights) != len(values) {
-			return 0, ErrBatchShape
-		}
-		for _, w := range weights {
-			if !(w > 0) || w > maxFinite {
-				return 0, ErrBadWeight
-			}
-		}
-	}
-	// Within-batch timestamp monotonicity needs no tenant state; check it
-	// before creating or locking anything.
-	var first, lastTS int64
-	if len(timestamps) > 0 {
-		first = timestamps[0]
-		prev := first
-		for _, ts := range timestamps[1:] {
-			if ts < prev {
-				return 0, ErrTimeBackwards
-			}
-			prev = ts
-		}
-		lastTS = prev
+	first, lastTS, err := checkBatch(f.seqMode(), f.weightedOK, values, timestamps, weights)
+	if err != nil {
+		return 0, err
 	}
 	if len(values) == 0 {
 		if err := validTenantID(id); err != nil {
@@ -311,7 +277,7 @@ func (f *Fabric) Ingest(id string, values []string, timestamps []int64, weights 
 	elems := f.elems.Get(len(values))
 	for i, v := range values {
 		elems[i] = stream.Element[string]{Value: v}
-		if len(timestamps) > 0 {
+		if timestamps != nil {
 			elems[i].TS = timestamps[i]
 		}
 	}
@@ -329,7 +295,7 @@ func (f *Fabric) Ingest(id string, values []string, timestamps []int64, weights 
 
 // apply feeds one pre-validated batch to the substrate under the tenant
 // mutex: the cross-batch clock check against this tenant's stream clock,
-// then the observe call. Weights non-empty selects the precomputed-weight
+// then the observe call. Non-nil weights select the precomputed-weight
 // path (capability verified by the caller against the template probe).
 func (tn *tenant) apply(seqMode bool, elems []stream.Element[string], weights []float64, first, lastTS int64) (uint64, error) {
 	tn.mu.Lock()
@@ -340,7 +306,7 @@ func (tn *tenant) apply(seqMode bool, elems []stream.Element[string], weights []
 		}
 		tn.last, tn.begun = lastTS, true
 	}
-	if len(weights) > 0 {
+	if weights != nil {
 		tn.weighted.ObserveWeightedBatch(elems, weights)
 	} else {
 		tn.ing.ObserveBatch(elems)

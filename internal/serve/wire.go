@@ -253,13 +253,14 @@ func arrayInto[T any](c *cursor, dst []T, elem func() (T, bool)) ([]T, bool) {
 var ingestKeys = []string{"values", "timestamps", "weights"}
 
 // parseIngestJSON recognizes a canonical IngestRequest body, decoding into
-// req's slices from index 0 as encoding/json does. On a decline it clears
-// whatever it wrote into the arriving backing arrays — request scratch
-// arrives zeroed — so the fallback starts from exactly what the caller
-// passed in.
-func parseIngestJSON(body []byte, req IngestRequest) (IngestRequest, bool) {
+// req's slices from index 0 as encoding/json does, and reports which
+// optional fields the body carried. On a decline it clears whatever it
+// wrote into the arriving backing arrays — request scratch arrives zeroed —
+// so the fallback starts from exactly what the caller passed in.
+func parseIngestJSON(body []byte, req IngestRequest) (IngestRequest, ingestFields, bool) {
 	c := cursor{b: body}
 	out := req
+	var has ingestFields
 	ok := c.object(ingestKeys, func(key int) bool {
 		var ok bool
 		switch key {
@@ -270,8 +271,10 @@ func parseIngestJSON(body []byte, req IngestRequest) (IngestRequest, bool) {
 			})
 		case 1:
 			out.Timestamps, ok = arrayInto(&c, out.Timestamps, c.int64)
+			has.timestamps = true
 		default:
 			out.Weights, ok = arrayInto(&c, out.Weights, c.float64)
+			has.weights = true
 		}
 		return ok
 	})
@@ -279,9 +282,9 @@ func parseIngestJSON(body []byte, req IngestRequest) (IngestRequest, bool) {
 		clear(req.Values[:cap(req.Values)])
 		clear(req.Timestamps[:cap(req.Timestamps)])
 		clear(req.Weights[:cap(req.Weights)])
-		return req, false
+		return req, ingestFields{}, false
 	}
-	return out, true
+	return out, has, true
 }
 
 var recordKeys = []string{"value", "ts", "weight"}
@@ -337,18 +340,26 @@ func decodeJSONFrom(r io.Reader, v any) error {
 // encoding/json otherwise. A failed read (an oversized body, a broken
 // connection) still goes to encoding/json, which sees the same bytes and
 // then the same error it would have read itself.
-func decodeIngestJSON(r io.Reader, req IngestRequest) (IngestRequest, error) {
+func decodeIngestJSON(r io.Reader, req IngestRequest) (IngestRequest, ingestFields, error) {
 	body := bytes.NewBuffer(wireBufs.Get(initialNDJSONBufBytes)[:0])
 	defer func() { wireBufs.Put(body.Bytes()) }()
 	_, rerr := body.ReadFrom(r)
 	if rerr == nil {
-		if out, ok := parseIngestJSON(body.Bytes(), req); ok {
-			return out, nil
+		if out, has, ok := parseIngestJSON(body.Bytes(), req); ok {
+			return out, has, nil
 		}
 		rerr = io.EOF
 	}
-	err := decodeJSONFrom(&replay{buf: body.Bytes(), err: rerr}, &req)
-	return req, err
+	if err := decodeJSONFrom(&replay{buf: body.Bytes(), err: rerr}, &req); err != nil {
+		return req, ingestFields{}, err
+	}
+	// Decoded into recycled slices, an absent field and an empty one both
+	// come out non-nil and empty; a second decode from the zero request
+	// tells them apart by encoding/json's own rules (null is absent too).
+	// It cannot fail: the same bytes just decoded without error.
+	var zero IngestRequest
+	_ = decodeJSONFrom(bytes.NewReader(body.Bytes()), &zero)
+	return req, ingestFields{timestamps: zero.Timestamps != nil, weights: zero.Weights != nil}, nil
 }
 
 // replay re-serves bytes already read, then the error that ended the read.

@@ -116,6 +116,12 @@ func sameRequest(a, b IngestRequest) bool {
 		sameSlice(a.Weights, b.Weights, eqFloatBits)
 }
 
+// fieldsOf reads field presence off a request decoded from the zero value,
+// the named ingest route's rule.
+func fieldsOf(req IngestRequest) ingestFields {
+	return ingestFields{timestamps: req.Timestamps != nil, weights: req.Weights != nil}
+}
+
 func sameRecord(a, b wireRecord) bool {
 	return a.value == b.value && a.hasTS == b.hasTS && a.ts == b.ts &&
 		a.hasW == b.hasW && eqFloatBits(a.weight, b.weight)
@@ -174,7 +180,7 @@ func FuzzIngestDecodeDiff(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte, recycled bool) {
 		// JSON batch body.
 		want, werr := refDecodeIngestJSON(body, scratchRequest(recycled))
-		if got, ok := parseIngestJSON(body, scratchRequest(recycled)); ok {
+		if got, _, ok := parseIngestJSON(body, scratchRequest(recycled)); ok {
 			if werr != nil {
 				t.Fatalf("recognizer accepted a body encoding/json rejects (%v): %q", werr, body)
 			}
@@ -182,9 +188,12 @@ func FuzzIngestDecodeDiff(f *testing.F) {
 				t.Fatalf("recognizer decoded %#v, encoding/json %#v: %q", got, want, body)
 			}
 		}
-		got, gerr := decodeIngestJSON(bytes.NewReader(body), scratchRequest(recycled))
+		got, has, gerr := decodeIngestJSON(bytes.NewReader(body), scratchRequest(recycled))
 		if errText(gerr) != errText(werr) || (werr == nil && !sameRequest(got, want)) {
 			t.Fatalf("JSON decode: got %#v, %v; want %#v, %v: %q", got, gerr, want, werr, body)
+		}
+		if zero, _ := refDecodeIngestJSON(body, IngestRequest{}); werr == nil && has != fieldsOf(zero) {
+			t.Fatalf("JSON decode reports fields %+v, encoding/json from the zero request decodes %+v: %q", has, fieldsOf(zero), body)
 		}
 
 		// NDJSON: each line through the recognizer, then the whole body.
@@ -209,9 +218,12 @@ func FuzzIngestDecodeDiff(f *testing.F) {
 			}
 		}
 		want, werr = refParseNDJSON(body, scratchRequest(recycled))
-		got, gerr = parseNDJSON(httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body)), scratchRequest(recycled))
+		got, has, gerr = parseNDJSON(httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body)), scratchRequest(recycled))
 		if errText(gerr) != errText(werr) || (werr == nil && !sameRequest(got, want)) {
 			t.Fatalf("NDJSON decode: got %#v, %v; want %#v, %v: %q", got, gerr, want, werr, body)
+		}
+		if zero, _ := refParseNDJSON(body, IngestRequest{}); werr == nil && has != fieldsOf(zero) {
+			t.Fatalf("NDJSON decode reports fields %+v, encoding/json from the zero request decodes %+v: %q", has, fieldsOf(zero), body)
 		}
 	})
 }
@@ -228,7 +240,7 @@ func TestRecognizersTakeCanonicalInput(t *testing.T) {
 		`{"values":["héllo"]}`,
 		`{}`,
 	} {
-		if _, ok := parseIngestJSON([]byte(body), IngestRequest{}); !ok {
+		if _, _, ok := parseIngestJSON([]byte(body), IngestRequest{}); !ok {
 			t.Errorf("canonical body declined: %s", body)
 		}
 	}
@@ -248,7 +260,7 @@ func TestRecognizersTakeCanonicalInput(t *testing.T) {
 		`{"values":["a","b","c","d","e","f"],"Weights":[1]}`,
 	} {
 		req := scratchRequest(true)
-		if _, ok := parseIngestJSON([]byte(body), req); ok {
+		if _, _, ok := parseIngestJSON([]byte(body), req); ok {
 			t.Fatalf("non-canonical body accepted: %s", body)
 		}
 		for _, v := range req.Values[:cap(req.Values)] {
@@ -268,7 +280,7 @@ func TestRecognizersTakeCanonicalInput(t *testing.T) {
 // request buffer, or a retained sample would pin the whole body.
 func TestDecodedValuesAreCopies(t *testing.T) {
 	body := []byte(`{"values":["aaaa","bbbb"]}`)
-	got, ok := parseIngestJSON(body, IngestRequest{})
+	got, _, ok := parseIngestJSON(body, IngestRequest{})
 	if !ok {
 		t.Fatal("canonical body declined")
 	}
@@ -300,7 +312,7 @@ func TestNDJSONDecodeAllocs(t *testing.T) {
 	body := b.Bytes()
 	allocs := testing.AllocsPerRun(20, func() {
 		req := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body))
-		if _, err := parseNDJSON(req, IngestRequest{}); err != nil {
+		if _, _, err := parseNDJSON(req, IngestRequest{}); err != nil {
 			t.Fatal(err)
 		}
 	})
