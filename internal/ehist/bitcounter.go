@@ -7,20 +7,11 @@ package ehist
 // is the sequence-window one. Both exist because the Section 5 estimators
 // need window-denominated counts in both window models.
 
-// bbucket is one bucket of the bit counter: the stream position of its most
-// recent 1, the position of its oldest 1, and its size (count of 1s, a
-// power of two).
-type bbucket struct {
-	newPos uint64
-	oldPos uint64
-	size   uint64
-}
-
 // BitCounter approximately counts the 1s among the last n stream positions.
 type BitCounter struct {
 	n          uint64
 	maxPerSize int
-	buckets    []bbucket // oldest first
+	buckets    []bucket[uint64] // oldest first; clocks are the positions of 1s
 	pos        uint64    // positions observed so far
 	maxWords   int
 }
@@ -53,43 +44,9 @@ func (c *BitCounter) Observe(bit bool) {
 	if !bit {
 		return
 	}
-	c.buckets = append(c.buckets, bbucket{newPos: p, oldPos: p, size: 1})
-	c.cascade()
+	c.buckets = cascade(append(c.buckets, bucket[uint64]{newest: p, oldest: p, size: 1}), c.maxPerSize)
 	if w := c.Words(); w > c.maxWords {
 		c.maxWords = w
-	}
-}
-
-func (c *BitCounter) cascade() {
-	size := uint64(1)
-	for {
-		first, count := -1, 0
-		for i, b := range c.buckets {
-			if b.size == size {
-				if first < 0 {
-					first = i
-				}
-				count++
-			}
-		}
-		if count <= c.maxPerSize {
-			return
-		}
-		second := first + 1
-		for second < len(c.buckets) && c.buckets[second].size != size {
-			second++
-		}
-		if second >= len(c.buckets) {
-			return
-		}
-		merged := bbucket{
-			newPos: c.buckets[second].newPos,
-			oldPos: c.buckets[first].oldPos,
-			size:   size * 2,
-		}
-		c.buckets = append(c.buckets[:second], c.buckets[second+1:]...)
-		c.buckets[first] = merged
-		size *= 2
 	}
 }
 
@@ -104,7 +61,7 @@ func (c *BitCounter) active(p uint64) bool {
 // no per-expiry reallocation, no stale bucket copies in the slack).
 func (c *BitCounter) expire() {
 	i := 0
-	for i < len(c.buckets) && !c.active(c.buckets[i].newPos) {
+	for i < len(c.buckets) && !c.active(c.buckets[i].newest) {
 		i++
 	}
 	if i > 0 {
@@ -125,7 +82,7 @@ func (c *BitCounter) Estimate() uint64 {
 	for _, b := range c.buckets {
 		total += b.size
 	}
-	if c.active(c.buckets[0].oldPos) {
+	if c.active(c.buckets[0].oldest) {
 		return total
 	}
 	return total - c.buckets[0].size/2

@@ -31,17 +31,65 @@
 // Counter may therefore serve concurrent EstimateAt callers under a read
 // lock; Observe needs exclusive access, like every other mutation in this
 // repository.
+//
+// # Ingest cost
+//
+// Bucket sizes never increase from oldest to newest, so each size is one
+// contiguous run, and the run of size 2s ends exactly where the last merge
+// of size s left its bucket. Observe's cascade (shared by Counter and
+// BitCounter) therefore starts at the newest bucket and, per size level,
+// looks maxPerSize buckets back: a run that reaches that far is the one
+// that overflowed, and its two oldest buckets merge. A level costs O(1)
+// plus the shift that closes the merged gap (the newer, smaller runs:
+// O(ε⁻¹·level) bucket copies), and a level-L merge happens once per
+// ~maxPerSize·2^(L-1) arrivals, so the carry chain is amortized
+// O(ε⁻¹) copies and O(1) comparisons per arrival — DGIM's amortized
+// bound — where rescanning the whole list per level cost O(B·log n) for
+// B buckets. Expiry drops a dead prefix and shifts the survivors, O(B)
+// copies only on arrivals that expire something.
+//
+// Weighted (weighted.go) cannot take the same shortcut: its merge
+// condition compares a pair's sum against the float sum of every newer
+// bucket, accumulated oldest-first, so compress walks all B buckets per
+// arrival. A newest-first walk would accumulate the suffix in a different
+// float order and could move a bucket boundary, which the committed
+// snapshot fixtures would see.
 package ehist
 
 import (
 	"slidingsample/internal/window"
 )
 
-// bucket is one exponential-histogram bucket.
-type bucket struct {
-	newTS int64  // timestamp of the bucket's most recent element (expiry)
-	oldTS int64  // timestamp of the bucket's oldest element (straddle test)
-	size  uint64 // number of elements, a power of two
+// bucket is one exponential-histogram bucket. The clock is a timestamp for
+// Counter and a stream position for BitCounter.
+type bucket[P int64 | uint64] struct {
+	newest P      // clock of the bucket's most recent element (expiry)
+	oldest P      // clock of the bucket's oldest element (straddle test)
+	size   uint64 // number of elements, a power of two
+}
+
+// cascade restores the at-most-maxPerSize-buckets-per-size invariant after
+// an arrival appended a size-1 bucket at the newest end, merging the two
+// OLDEST buckets of an overflowing size into one of twice the size and
+// rippling upward like a carry chain. Sizes never increase from oldest to
+// newest, so the run of the current size ends at `end` — the newest
+// bucket for size 1, the slot the previous level's merge wrote for every
+// larger size — and the run overflowed iff the bucket maxPerSize places
+// back still has its size. The walk from there finds the run's oldest
+// bucket (one step in every state Observe reaches, where a run never
+// exceeds maxPerSize+1); a level whose run fits ends the cascade.
+func cascade[P int64 | uint64](bs []bucket[P], maxPerSize int) []bucket[P] {
+	end := len(bs) - 1
+	for size := uint64(1); end >= maxPerSize && bs[end-maxPerSize].size == size; size *= 2 {
+		first := end - maxPerSize
+		for first > 0 && bs[first-1].size == size {
+			first--
+		}
+		bs[first] = bucket[P]{newest: bs[first+1].newest, oldest: bs[first].oldest, size: 2 * size}
+		bs = append(bs[:first+1], bs[first+2:]...)
+		end = first
+	}
+	return bs
 }
 
 // Counter approximately counts the stream elements whose timestamps are
@@ -49,7 +97,7 @@ type bucket struct {
 type Counter struct {
 	w          window.Timestamp
 	maxPerSize int
-	buckets    []bucket // oldest first
+	buckets    []bucket[int64] // oldest first
 	now        int64
 	started    bool
 	maxWords   int
@@ -84,47 +132,9 @@ func (c *Counter) Observe(ts int64) {
 	c.now = ts
 	c.started = true
 	c.expire()
-	c.buckets = append(c.buckets, bucket{newTS: ts, oldTS: ts, size: 1})
-	c.cascade()
+	c.buckets = cascade(append(c.buckets, bucket[int64]{newest: ts, oldest: ts, size: 1}), c.maxPerSize)
 	if w := c.Words(); w > c.maxWords {
 		c.maxWords = w
-	}
-}
-
-// cascade merges the two oldest buckets of any size that exceeds
-// maxPerSize, rippling upward exactly like a carry chain.
-func (c *Counter) cascade() {
-	size := uint64(1)
-	for {
-		first, count := -1, 0
-		for i, b := range c.buckets {
-			if b.size == size {
-				if first < 0 {
-					first = i
-				}
-				count++
-			}
-		}
-		if count <= c.maxPerSize {
-			return
-		}
-		// Merge the two oldest of this size: buckets are kept oldest-first,
-		// so they sit at `first` and the next bucket of equal size.
-		second := first + 1
-		for second < len(c.buckets) && c.buckets[second].size != size {
-			second++
-		}
-		if second >= len(c.buckets) {
-			return // cannot happen: count >= 2
-		}
-		merged := bucket{
-			newTS: c.buckets[second].newTS,
-			oldTS: c.buckets[first].oldTS,
-			size:  size * 2,
-		}
-		c.buckets = append(c.buckets[:second], c.buckets[second+1:]...)
-		c.buckets[first] = merged
-		size *= 2
 	}
 }
 
@@ -134,7 +144,7 @@ func (c *Counter) cascade() {
 // the vacated tail is zeroed so stale bucket copies never linger.
 func (c *Counter) expire() {
 	i := 0
-	for i < len(c.buckets) && c.w.Expired(c.buckets[i].newTS, c.now) {
+	for i < len(c.buckets) && c.w.Expired(c.buckets[i].newest, c.now) {
 		i++
 	}
 	if i > 0 {
@@ -159,11 +169,11 @@ func (c *Counter) EstimateAt(now int64) uint64 {
 	if now < c.now {
 		now = c.now
 	}
-	// Buckets are oldest first with non-decreasing newTS, so the dead
+	// Buckets are oldest first with non-decreasing newest, so the dead
 	// prefix at query time is found by the same scan expire uses — just
 	// without committing it.
 	i := 0
-	for i < len(c.buckets) && c.w.Expired(c.buckets[i].newTS, now) {
+	for i < len(c.buckets) && c.w.Expired(c.buckets[i].newest, now) {
 		i++
 	}
 	if i == len(c.buckets) {
@@ -173,7 +183,7 @@ func (c *Counter) EstimateAt(now int64) uint64 {
 	for _, b := range c.buckets[i:] {
 		total += b.size
 	}
-	if c.w.Active(c.buckets[i].oldTS, now) {
+	if c.w.Active(c.buckets[i].oldest, now) {
 		return total // head bucket fully inside the window: exact
 	}
 	return total - c.buckets[i].size/2

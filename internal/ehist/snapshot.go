@@ -30,8 +30,8 @@ func (c *Counter) encode(w *snap.Writer) {
 	w.Int(c.maxWords)
 	w.Len(len(c.buckets))
 	for _, b := range c.buckets {
-		w.I64(b.newTS)
-		w.I64(b.oldTS)
+		w.I64(b.newest)
+		w.I64(b.oldest)
 		w.U64(b.size)
 	}
 }
@@ -72,9 +72,9 @@ func decodeCounter(r *snap.Reader) *Counter {
 	if r.Err() != nil {
 		return c
 	}
-	c.buckets = make([]bucket, 0, snap.CapHint(n))
+	c.buckets = make([]bucket[int64], 0, snap.CapHint(n))
 	for i := 0; i < n && r.Err() == nil; i++ {
-		c.buckets = append(c.buckets, bucket{newTS: r.I64(), oldTS: r.I64(), size: r.U64()})
+		c.buckets = append(c.buckets, bucket[int64]{newest: r.I64(), oldest: r.I64(), size: r.U64()})
 	}
 	return c
 }

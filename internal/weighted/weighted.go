@@ -114,23 +114,40 @@ func (s *skyband[T]) observe(e stream.Element[T], w float64) {
 // and zero any slots the drops vacated — the evicted elements' payloads
 // (strings, slices, pointers) must not stay live in the slice's slack for
 // the sampler's lifetime.
+//
+// The walk is in place: a count is bumped through a pointer, so until the
+// first drop a node costs a key compare and at most one word written, and
+// only the nodes after a drop are copied down to close the gap. The walk
+// itself stays O(m) for m retained nodes.
 func insertNode[T any](nodes []node[T], k int, e stream.Element[T], w, lk float64) []node[T] {
-	old := len(nodes)
-	keep := nodes[:0]
-	for _, nd := range nodes {
+	i := 0
+	for ; i < len(nodes); i++ {
+		nd := &nodes[i]
+		if nd.lk < lk {
+			nd.beat++
+		}
+		if nd.beat >= k {
+			break
+		}
+	}
+	if i == len(nodes) {
+		return append(nodes, node[T]{elem: e, w: w, lk: lk})
+	}
+	// nodes[i] is the first drop: compact the survivors after it down.
+	keep := i
+	for i++; i < len(nodes); i++ {
+		nd := &nodes[i]
 		if nd.lk < lk {
 			nd.beat++
 		}
 		if nd.beat < k {
-			keep = append(keep, nd)
+			nodes[keep] = *nd
+			keep++
 		}
 	}
-	nodes = append(keep, node[T]{elem: e, w: w, lk: lk})
-	if len(nodes) < old {
-		// Drops guarantee append reused the backing array (reallocation only
-		// happens when nothing was dropped and the slice was full).
-		clear(nodes[len(nodes):old])
-	}
+	old := len(nodes)
+	nodes = append(nodes[:keep], node[T]{elem: e, w: w, lk: lk})
+	clear(nodes[keep+1 : old])
 	return nodes
 }
 
