@@ -159,6 +159,9 @@ func TestConformanceBattery(t *testing.T) {
 			if s.Count() != 0 {
 				t.Fatalf("Count = %d before any arrival", s.Count())
 			}
+			if s.MaxWords() < s.Words() {
+				t.Fatalf("fresh sampler: MaxWords %d < Words %d", s.MaxWords(), s.Words())
+			}
 
 			// Feed and check the basic accessors.
 			for i := 0; i < m; i++ {
@@ -472,6 +475,9 @@ func TestEstimatorBattery(t *testing.T) {
 			confEstSync(e)
 			if _, ok := e.Estimate(confEstAll); ok {
 				t.Fatal("estimate from empty window")
+			}
+			if e.MaxWords() < e.Words() {
+				t.Fatalf("fresh estimator: MaxWords %d < Words %d", e.MaxWords(), e.Words())
 			}
 
 			for i := 0; i < m; i++ {

@@ -25,13 +25,17 @@ type FullWindow[T any] struct {
 // NewFullWindowSeq returns a full-window sampler over a sequence-based
 // window of size n.
 func NewFullWindowSeq[T any](rng *xrand.Rand, n uint64) *FullWindow[T] {
-	return &FullWindow[T]{seq: window.NewSeqBuffer[T](n), rng: rng.Split()}
+	f := &FullWindow[T]{seq: window.NewSeqBuffer[T](n), rng: rng.Split()}
+	f.maxWords = f.Words()
+	return f
 }
 
 // NewFullWindowTS returns a full-window sampler over a timestamp-based
 // window of horizon t0.
 func NewFullWindowTS[T any](rng *xrand.Rand, t0 int64) *FullWindow[T] {
-	return &FullWindow[T]{tsb: window.NewTSBuffer[T](t0), rng: rng.Split()}
+	f := &FullWindow[T]{tsb: window.NewTSBuffer[T](t0), rng: rng.Split()}
+	f.maxWords = f.Words()
+	return f
 }
 
 // Bind fixes the default sample size and mode used by the interface-shaped

@@ -25,7 +25,9 @@ func NewBitCounter(n uint64, maxPerSize int) *BitCounter {
 	if maxPerSize < 2 {
 		panic("ehist: NewBitCounter with maxPerSize < 2")
 	}
-	return &BitCounter{n: n, maxPerSize: maxPerSize}
+	c := &BitCounter{n: n, maxPerSize: maxPerSize}
+	c.maxWords = c.Words()
+	return c
 }
 
 // NewBitCounterEps returns a counter with relative error at most eps.

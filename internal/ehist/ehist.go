@@ -113,7 +113,9 @@ func New(t0 int64, maxPerSize int) *Counter {
 	if maxPerSize < 2 {
 		panic("ehist: New with maxPerSize < 2")
 	}
-	return &Counter{w: window.Timestamp{T0: t0}, maxPerSize: maxPerSize}
+	c := &Counter{w: window.Timestamp{T0: t0}, maxPerSize: maxPerSize}
+	c.maxWords = c.Words()
+	return c
 }
 
 // NewEps returns a counter with relative error at most eps.

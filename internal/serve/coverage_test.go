@@ -61,8 +61,13 @@ func TestRegisterEverySubstrate(t *testing.T) {
 			} else {
 				spec.T0 = 60
 			}
-			if _, err := s.Register(name, spec); err != nil {
+			inst, err := s.Register(name, spec)
+			if err != nil {
 				t.Fatalf("register %s/%s: %v", row.mode, row.sampler, err)
+			}
+			// A fresh sampler's peak already covers its empty footprint.
+			if _, _, words, maxWords := inst.Stats(); maxWords < words {
+				t.Fatalf("fresh sampler: MaxWords %d < Words %d", maxWords, words)
 			}
 
 			// A small batch: timestamps only in ts mode (three per tick).
