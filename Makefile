@@ -107,14 +107,16 @@ swperf-smoke:
 # The network-decoder and WAL-codec fuzz targets, each for a fixed 10 s
 # (go test runs one fuzz target per invocation): handler status/count
 # property, recognizer-vs-encoding/json decode diff, WAL encoder vs
-# json.Marshal, and the /samplers and /fabrics registration property
-# (201 and listed, or 4xx and the listing unchanged). Their seed corpora
-# also run on every plain `go test`.
+# json.Marshal, the /samplers and /fabrics registration property (201 and
+# listed, or 4xx and the listing unchanged), and the snapshot decoder
+# behind POST /restore (an error or a working instance, never a panic).
+# Their seed corpora also run on every plain `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzIngestHandler$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzIngestDecodeDiff$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecordDiff$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzRegisterHandler$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzRestoreInstance$$' -fuzztime 10s ./internal/serve/
 
 # Fast benchmark smoke: fixed iteration counts so CI time is bounded.
 bench-quick:

@@ -197,6 +197,11 @@ func (c *Counter) Estimate() uint64 { return c.EstimateAt(c.now) }
 // Buckets returns the current number of buckets (diagnostics).
 func (c *Counter) Buckets() int { return len(c.buckets) }
 
+// Clock returns the timestamp of the latest arrival and whether there has
+// been one. Decoders of enclosing samplers check it against their own
+// clock.
+func (c *Counter) Clock() (int64, bool) { return c.now, c.started }
+
 // SizeOracle adapts the counter to the apps.TSWRSource size-oracle
 // signature.
 func (c *Counter) SizeOracle() func(now int64) (float64, bool) {

@@ -72,11 +72,58 @@ func decodeCounter(r *snap.Reader) *Counter {
 	if r.Err() != nil {
 		return c
 	}
+	if n > 0 && !c.started {
+		r.Failf("ehist.Counter with %d buckets and no arrival", n)
+		return c
+	}
 	c.buckets = make([]bucket[int64], 0, snap.CapHint(n))
+	prev := bucket[int64]{newest: math.MinInt64, size: math.MaxUint64}
+	run := 0 // buckets of prev's size so far
 	for i := 0; i < n && r.Err() == nil; i++ {
-		c.buckets = append(c.buckets, bucket[int64]{newest: r.I64(), oldest: r.I64(), size: r.U64()})
+		b := bucket[int64]{newest: r.I64(), oldest: r.I64(), size: r.U64()}
+		if r.Err() != nil || !checkClocks(r, "ehist.Counter", i, prev.newest, b.oldest, b.newest, c.now) {
+			break
+		}
+		// Observe keeps sizes powers of two, never growing toward the
+		// newest end, at most maxPerSize of each: the layout the cascade's
+		// newest-first walk relies on.
+		switch {
+		case b.size == 0 || b.size&(b.size-1) != 0:
+			r.Failf("ehist.Counter bucket %d with size %d", i, b.size)
+		case b.size > prev.size:
+			r.Failf("ehist.Counter bucket %d of size %d after size %d", i, b.size, prev.size)
+		case b.size == prev.size && run == c.maxPerSize:
+			r.Failf("ehist.Counter with more than %d buckets of size %d", c.maxPerSize, b.size)
+		}
+		if r.Err() != nil {
+			break
+		}
+		if b.size < prev.size {
+			run = 0
+		}
+		run++
+		c.buckets = append(c.buckets, b)
+		prev = b
 	}
 	return c
+}
+
+// checkClocks refuses bucket clocks that no arrival order produces: the
+// bucket's oldest element after its newest, before the previous bucket's
+// newest (prevNewest), or after the histogram's clock. It reports whether
+// the bucket passed.
+func checkClocks(r *snap.Reader, kind string, i int, prevNewest, oldest, newest, now int64) bool {
+	switch {
+	case oldest > newest:
+		r.Failf("%s bucket %d with oldest clock %d after newest %d", kind, i, oldest, newest)
+	case oldest < prevNewest:
+		r.Failf("%s bucket %d at clock %d before the previous bucket's %d", kind, i, oldest, prevNewest)
+	case newest > now:
+		r.Failf("%s bucket %d at clock %d after the histogram clock %d", kind, i, newest, now)
+	default:
+		return true
+	}
+	return false
 }
 
 // Snapshot writes the weight histogram's full state (header included).
@@ -141,9 +188,23 @@ func decodeWeighted(r *snap.Reader) *Weighted {
 	if r.Err() != nil {
 		return c
 	}
+	if n > 0 && !c.started {
+		r.Failf("ehist.Weighted with %d buckets and no arrival", n)
+		return c
+	}
 	c.buckets = make([]wbucket, 0, snap.CapHint(n))
+	prevNewest := int64(math.MinInt64)
 	for i := 0; i < n && r.Err() == nil; i++ {
-		c.buckets = append(c.buckets, wbucket{newTS: r.I64(), oldTS: r.I64(), sum: r.F64()})
+		b := wbucket{newTS: r.I64(), oldTS: r.I64(), sum: r.F64()}
+		if r.Err() != nil || !checkClocks(r, "ehist.Weighted", i, prevNewest, b.oldTS, b.newTS, c.now) {
+			break
+		}
+		if !(b.sum > 0) || math.IsInf(b.sum, 1) {
+			r.Failf("ehist.Weighted bucket %d with sum %v", i, b.sum)
+			break
+		}
+		c.buckets = append(c.buckets, b)
+		prevNewest = b.newTS
 	}
 	return c
 }

@@ -191,6 +191,10 @@ func (c *Weighted) Sum() float64 { return c.SumAt(c.now) }
 // Buckets returns the current number of buckets (diagnostics).
 func (c *Weighted) Buckets() int { return len(c.buckets) }
 
+// Clock returns the clock of the latest arrival and whether there has been
+// one (see Counter.Clock).
+func (c *Weighted) Clock() (int64, bool) { return c.now, c.started }
+
 // Words implements the DESIGN.md §6 cost model: each bucket stores two
 // timestamps and a sum (3 words), plus three scalars (clock, eps, the
 // running total) — Counter's shape plus the running sum.

@@ -183,8 +183,22 @@ func decodeTSDispatch[T any](r *snap.Reader) (t *tsDispatch[T], next int, count 
 		r.Failf("parallel timestamp dispatch missing rng or estimator")
 		return t, 0, 0
 	}
+	if r.Err() == nil {
+		checkGlobalClock(r, t.est, t.now, t.begun)
+	}
 	next, count = decodeDealer(r, t.g)
 	return t, next, count
+}
+
+// checkGlobalClock refuses a timestamp dispatch whose global size counter
+// is not on the dispatch clock: both advance together on every dealt
+// arrival and on nothing else, so any other pair is a state no stream
+// produces (and a counter ahead would panic on the next arrival).
+func checkGlobalClock(r *snap.Reader, est *ehist.Counter, now int64, begun bool) {
+	if estNow, estStarted := est.Clock(); estNow != now || estStarted != begun {
+		r.Failf("parallel timestamp dispatch size counter clock (%d, %v) != dispatch clock (%d, %v)",
+			estNow, estStarted, now, begun)
+	}
 }
 
 // Snapshot writes the sampler's full state (header included) to w after
@@ -352,8 +366,23 @@ func decodeWDispatch[T any](r *snap.Reader, weight func(T) float64) (wd *wdispat
 			r.Failf("parallel weighted dispatch size oracle mismatch (seq %v)", wd.seq)
 			return wd, 0, 0
 		}
+		if !wd.seq {
+			checkGlobalClock(r, wd.size, wd.now, wd.begun)
+		}
 	}
 	next, count = decodeDealer(r, wd.g)
+	if r.Err() == nil {
+		// A shard's weight oracle sees only arrivals the dispatch dealt: its
+		// clock is at most the dispatch clock (timestamp windows) or below
+		// the arrival count (sequence windows, where it is the index).
+		for i, est := range wd.wests {
+			estNow, estStarted := est.Clock()
+			if estStarted && (wd.seq && estNow >= int64(count) || !wd.seq && (!wd.begun || estNow > wd.now)) {
+				r.Failf("parallel weighted dispatch shard %d weight oracle clock %d ahead of the dispatch", i, estNow)
+				break
+			}
+		}
+	}
 	return wd, next, count
 }
 

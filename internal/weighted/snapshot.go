@@ -254,11 +254,28 @@ func DecodeTSWOR[T any](r *snap.Reader, weight func(T) float64) *TSWOR[T] {
 		return s
 	}
 	s.sky = decodeTSSkyband[T](r, s.t0, s.k)
-	s.est = ehist.DecodeCounter(r)
-	if r.Err() == nil && s.est == nil {
-		r.Failf("weighted.TSWOR missing size counter")
-	}
+	s.est = decodeSizeCounter(r, "weighted.TSWOR", s.now, s.started)
 	return s
+}
+
+// decodeSizeCounter reads a timestamp sampler's embedded size counter and
+// refuses one whose clock is ahead of the sampler's: the sampler advances
+// its own clock on every arrival the counter sees (and on queries too), so
+// a counter ahead of it is a state no stream produces, and the next
+// arrival at the sampler's clock would panic inside the counter.
+func decodeSizeCounter(r *snap.Reader, kind string, now int64, started bool) *ehist.Counter {
+	est := ehist.DecodeCounter(r)
+	if r.Err() != nil {
+		return est
+	}
+	if est == nil {
+		r.Failf("%s missing size counter", kind)
+		return nil
+	}
+	if estNow, estStarted := est.Clock(); estStarted && (!started || estNow > now) {
+		r.Failf("%s size counter clock %d ahead of the sampler clock %d", kind, estNow, now)
+	}
+	return est
 }
 
 // Snapshot writes the sampler's full state (header included) to w.
@@ -319,9 +336,6 @@ func DecodeTSWR[T any](r *snap.Reader, weight func(T) float64) *TSWR[T] {
 	for i := 0; i < s.k && r.Err() == nil; i++ {
 		s.insts[i] = decodeTSSkyband[T](r, s.t0, 1)
 	}
-	s.est = ehist.DecodeCounter(r)
-	if r.Err() == nil && s.est == nil {
-		r.Failf("weighted.TSWR missing size counter")
-	}
+	s.est = decodeSizeCounter(r, "weighted.TSWR", s.now, s.started)
 	return s
 }
