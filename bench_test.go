@@ -652,6 +652,68 @@ func BenchmarkShardedWeightedTSWOR_SampleAt(b *testing.B) {
 	}
 }
 
+// Sharded weighted timestamp ingest at the serving shapes of swperf's
+// flows-durable (T0=60, G=4, K=16) and query-fanout (T0=3600, G=8, K=64)
+// workloads: 200-event batches with precomputed weights at 100 events per
+// tick, into a window filled before the timer starts, so every skyband and
+// histogram is at its steady-state size. One op is one batch; the closing
+// barrier runs inside the timer, so ns/event prices the shard workers'
+// skyband walks as well as the producer's histograms and dealing. Run with
+// -cpu 1,2 for the GOMAXPROCS rows. -short caps the fill at 50 batches to
+// keep the CI bench smoke fast.
+func BenchmarkShardedWeightedTSWOR_Ingest(b *testing.B) {
+	const batch, perTick = 200, 100
+	shapes := []struct {
+		name string
+		t0   int64
+		g, k int
+	}{
+		{"flows-durable", 60, 4, 16},
+		{"query-fanout", 3600, 8, 64},
+	}
+	// Byte-like weights, drawn once and cycled: the timed loop only deals
+	// and ingests.
+	weights := make([][]float64, 16)
+	rng := xrand.New(2)
+	for i := range weights {
+		weights[i] = make([]float64, batch)
+		for j := range weights[i] {
+			weights[i][j] = float64(40 + rng.Intn(1461))
+		}
+	}
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
+			s := parallel.NewShardedWeightedTSWOR[uint64](xrand.New(1), sh.t0, sh.g, sh.k, 0.05, benchWeightFn)
+			defer s.Close()
+			elems := make([]stream.Element[uint64], batch)
+			next := 0
+			feed := func() {
+				ws := weights[next/batch%len(weights)]
+				for j := range elems {
+					elems[j] = stream.Element[uint64]{Value: uint64(next), TS: int64(next / perTick)}
+					next++
+				}
+				s.ObserveWeightedBatch(elems, ws)
+			}
+			fill := int(sh.t0) * perTick / batch
+			if testing.Short() {
+				fill = min(fill, 50)
+			}
+			for range fill {
+				feed()
+			}
+			s.Barrier()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				feed()
+			}
+			s.Barrier()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/event")
+		})
+	}
+}
+
 // The checkpointed query cadence: one Barrier + Sample per batch. This is
 // what real consumers of the sharded samplers run (queries require a
 // barrier), and it is the cadence the dispatcher's double-buffered batch
