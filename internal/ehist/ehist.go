@@ -40,15 +40,15 @@
 // BitCounter) therefore starts at the newest bucket and, per size level,
 // looks maxPerSize buckets back: a run that reaches that far is the one
 // that overflowed, and its two oldest buckets merge. A level costs O(1)
-// plus the shift that closes the merged gap (the newer, smaller runs:
-// O(ε⁻¹·level) bucket copies), and a level-L merge happens once per
-// ~maxPerSize·2^(L-1) arrivals, so the carry chain is amortized
-// O(ε⁻¹) copies and O(1) comparisons per arrival — DGIM's amortized
-// bound — where rescanning the whole list per level cost O(B·log n) for
-// B buckets. Expiry drops a dead prefix and shifts the survivors, O(B)
-// copies only on arrivals that expire something.
+// comparisons plus the shift that closes the merged gap, which moves the
+// newer, smaller runs: O(ε⁻¹) buckets per level below. In steady state a
+// size-2^L merge happens once per 2^(L+1) arrivals, so an arrival costs
+// amortized O(1) merges and comparisons and O(ε⁻¹) bucket copies — DGIM's
+// amortized carry chain — however many of its B = O(ε⁻¹·log n) buckets the
+// counter holds. Expiry drops a dead prefix by shifting the survivors, O(B)
+// copies, but only on the arrivals that expire a bucket.
 //
-// Weighted (weighted.go) cannot take the same shortcut: its merge
+// Weighted (weighted.go) does not take the same shortcut: its merge
 // condition compares a pair's sum against the float sum of every newer
 // bucket, accumulated oldest-first, so compress walks all B buckets per
 // arrival. A newest-first walk would accumulate the suffix in a different

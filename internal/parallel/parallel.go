@@ -570,8 +570,11 @@ func validateTSShardParams(t0 int64, g, k int, eps float64) {
 	}
 }
 
-// observe feeds the estimator (dispatcher-side, O(log n) amortized — tiny
-// next to the per-shard work it parallelizes) and deals the element.
+// observe feeds the estimator on the dispatcher's goroutine and deals the
+// element. The estimator's Observe costs amortized O(1) comparisons and
+// O(1/eps) bucket copies for its cascade, plus a shift of its B =
+// O(eps^-1·log n) buckets on an arrival that expires some (see the ehist
+// package doc).
 func (t *tsDispatch[T]) observe(value T, ts int64) {
 	t.est.Observe(ts)
 	t.now = ts

@@ -40,11 +40,12 @@
 // arrival or by a timestamped query) only discards retained nodes. Items /
 // Sample / ItemsAt / SampleAt never advance a generator — a query is a pure
 // function of the retained state and the query clock. This is a
-// load-bearing invariant: internal/parallel fans per-shard queries across
-// worker goroutines in nondeterministic order, and internal/serve interleaves
-// concurrent readers between ingest batches; both stay seed-deterministic
-// only because querying cannot perturb the rng stream that future observes
-// will consume. TestQueriesDrawNoRandomness pins it.
+// load-bearing invariant: internal/parallel queries its shards between
+// ingest batches (after a barrier, on the caller's goroutine), and
+// internal/serve interleaves concurrent readers between ingest batches;
+// both stay seed-deterministic only because how many queries run, and
+// when, cannot perturb the rng stream that future observes will consume.
+// TestQueriesDrawNoRandomness pins it.
 package weighted
 
 import (
