@@ -12,7 +12,7 @@ type BitCounter struct {
 	n          uint64
 	maxPerSize int
 	buckets    []bucket[uint64] // oldest first; clocks are the positions of 1s
-	pos        uint64    // positions observed so far
+	pos        uint64           // positions observed so far
 	maxWords   int
 }
 

@@ -74,17 +74,15 @@ type bucket[P int64 | uint64] struct {
 // rippling upward like a carry chain. Sizes never increase from oldest to
 // newest, so the run of the current size ends at `end` — the newest
 // bucket for size 1, the slot the previous level's merge wrote for every
-// larger size — and the run overflowed iff the bucket maxPerSize places
-// back still has its size. The walk from there finds the run's oldest
-// bucket (one step in every state Observe reaches, where a run never
-// exceeds maxPerSize+1); a level whose run fits ends the cascade.
+// larger size. Before the arrival every size had at most maxPerSize
+// buckets, so a run holds at most maxPerSize+1: it overflowed iff the
+// bucket maxPerSize places back still has its size, and that bucket is
+// the run's oldest. A level whose run fits ends the cascade. (Restored
+// snapshots keep the same layout: decodeCounter refuses any other.)
 func cascade[P int64 | uint64](bs []bucket[P], maxPerSize int) []bucket[P] {
 	end := len(bs) - 1
 	for size := uint64(1); end >= maxPerSize && bs[end-maxPerSize].size == size; size *= 2 {
 		first := end - maxPerSize
-		for first > 0 && bs[first-1].size == size {
-			first--
-		}
 		bs[first] = bucket[P]{newest: bs[first+1].newest, oldest: bs[first].oldest, size: 2 * size}
 		bs = append(bs[:first+1], bs[first+2:]...)
 		end = first

@@ -57,7 +57,7 @@ func TestRestoreRefusesUnreachable(t *testing.T) {
 		body []byte
 		ok   bool
 	}{
-		{"counter/reachable", counterBody(t, 2, 9, true, cb(3, 1, 4), cb(5, 4, 2), cb(7, 6, 2), cb(8, 8, 1), cb(9, 9, 1)), true},
+		{"counter/valid layout", counterBody(t, 2, 9, true, cb(3, 1, 4), cb(5, 4, 2), cb(7, 6, 2), cb(8, 8, 1), cb(9, 9, 1)), true},
 		{"counter/empty", counterBody(t, 2, 0, false), true},
 		{"counter/size 3", counterBody(t, 2, 9, true, cb(5, 1, 3), cb(9, 9, 1)), false},
 		{"counter/size 0", counterBody(t, 2, 9, true, cb(5, 1, 2), cb(9, 9, 0)), false},
@@ -69,7 +69,7 @@ func TestRestoreRefusesUnreachable(t *testing.T) {
 		{"counter/bucket after clock", counterBody(t, 2, 9, true, cb(5, 1, 2), cb(10, 10, 1)), false},
 		{"counter/buckets without arrival", counterBody(t, 2, 9, false, cb(9, 9, 1)), false},
 
-		{"weighted/reachable", weightedBody(t, 9, true, wb(5, 1, 3.5), wb(8, 8, 1), wb(9, 9, 2)), true},
+		{"weighted/valid layout", weightedBody(t, 9, true, wb(5, 1, 3.5), wb(8, 8, 1), wb(9, 9, 2)), true},
 		{"weighted/empty", weightedBody(t, 0, false), true},
 		{"weighted/zero sum", weightedBody(t, 9, true, wb(5, 1, 0), wb(9, 9, 1)), false},
 		{"weighted/negative sum", weightedBody(t, 9, true, wb(5, 1, -2), wb(9, 9, 1)), false},
@@ -89,7 +89,7 @@ func TestRestoreRefusesUnreachable(t *testing.T) {
 				_, err = Restore(bytes.NewReader(tc.body))
 			}
 			if tc.ok && err != nil {
-				t.Fatalf("reachable state refused: %v", err)
+				t.Fatalf("valid state refused: %v", err)
 			}
 			if !tc.ok && err == nil {
 				t.Fatal("unreachable state restored")
@@ -101,7 +101,7 @@ func TestRestoreRefusesUnreachable(t *testing.T) {
 // TestRestoreAcceptsReachable snapshots counters and weight histograms
 // along bursty streams, gaps that empty the window included, and restores
 // each snapshot: every state Observe reaches must pass the decoder checks
-// and resume exactly.
+// and take the next arrival at its clock.
 func TestRestoreAcceptsReachable(t *testing.T) {
 	for _, maxPerSize := range []int{2, 3, 5, 22, 40} {
 		rng := xrand.New(uint64(maxPerSize))
