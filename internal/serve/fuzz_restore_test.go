@@ -3,8 +3,8 @@ package serve
 // Restore hardening battery: arbitrary, truncated, corrupted, and
 // version-bumped snapshot bytes must make RestoreInstance return an
 // error — never panic, never hang, never leak a dispatcher goroutine.
-// The seed corpus is a set of REAL snapshots (one per representative
-// substrate family, fixed seeds) so the fuzzer starts inside the format
+// The seed corpus is a set of REAL snapshots (one per registrable
+// substrate, fixed seeds) so the fuzzer starts inside every kind's format
 // and mutates outward. Run the corpus with plain `go test`, or explore:
 //
 //	go test -fuzz FuzzRestoreInstance ./internal/serve/
@@ -22,17 +22,52 @@ import (
 	"slidingsample/internal/snap"
 )
 
-// fuzzSpecs covers one row per codec family: core seq/ts, baseline,
-// weighted, sharded, and the estimator apps.
+// fuzzSpecs has one row per registrable substrate (substrateSweep), each
+// with a fixed seed, so every snapshot kind the /restore endpoint reaches
+// has a golden fixture and a fuzz seed.
 func fuzzSpecs() []Spec {
 	return []Spec{
 		{Mode: "seq", Sampler: "wor", N: 64, K: 4, Seed: 11},
+		{Mode: "seq", Sampler: "wr", N: 64, K: 3, Seed: 18},
 		{Mode: "seq", Sampler: "chain", N: 64, K: 3, Seed: 12},
+		{Mode: "seq", Sampler: "oversample", N: 64, K: 3, Seed: 19},
+		{Mode: "seq", Sampler: "fullwindow", N: 64, K: 3, Seed: 20},
+		{Mode: "seq", Sampler: "sharded-wr", N: 64, K: 3, G: 4, Seed: 21},
+		{Mode: "seq", Sampler: "weighted-wor", N: 64, K: 3, Seed: 22},
 		{Mode: "seq", Sampler: "weighted-wr", N: 64, K: 3, Seed: 13},
+		{Mode: "seq", Sampler: "sharded-weighted-wor", N: 64, K: 3, G: 4, Seed: 23},
+		{Mode: "seq", Sampler: "sharded-weighted-wr", N: 64, K: 3, G: 4, Seed: 24},
+		{Mode: "seq", Sampler: "subsetsum", N: 64, K: 8, Seed: 25},
 		{Mode: "ts", Sampler: "wor", T0: 16, K: 3, Seed: 14},
+		{Mode: "ts", Sampler: "wr", T0: 16, K: 3, Seed: 26},
+		{Mode: "ts", Sampler: "priority", T0: 16, K: 3, Seed: 27},
+		{Mode: "ts", Sampler: "skyband", T0: 16, K: 3, Seed: 28},
 		{Mode: "ts", Sampler: "fullwindow", T0: 16, K: 3, Seed: 15},
+		{Mode: "ts", Sampler: "sharded-wr", T0: 16, K: 3, G: 4, Seed: 29},
+		{Mode: "ts", Sampler: "sharded-wor", T0: 16, K: 3, G: 4, Seed: 30},
+		{Mode: "ts", Sampler: "weighted-ts-wor", T0: 16, K: 3, Seed: 31},
+		{Mode: "ts", Sampler: "weighted-ts-wr", T0: 16, K: 3, Seed: 32},
 		{Mode: "ts", Sampler: "sharded-weighted-ts-wor", T0: 16, K: 3, G: 4, Seed: 16},
+		{Mode: "ts", Sampler: "sharded-weighted-ts-wr", T0: 16, K: 3, G: 4, Seed: 33},
 		{Mode: "ts", Sampler: "subsetsum-ts", T0: 16, K: 8, Seed: 17},
+		{Mode: "ts", Sampler: "sharded-subsetsum-ts", T0: 16, K: 8, G: 4, Seed: 34},
+	}
+}
+
+// TestFuzzSpecsCoverEverySubstrate keeps fuzzSpecs in step with the
+// registration sweep: a substrate added to one must be added to the other.
+func TestFuzzSpecsCoverEverySubstrate(t *testing.T) {
+	have := make(map[string]bool)
+	for _, spec := range fuzzSpecs() {
+		have[spec.Mode+"/"+spec.Sampler] = true
+	}
+	for _, row := range substrateSweep {
+		if !have[row.mode+"/"+row.sampler] {
+			t.Errorf("fuzzSpecs has no row for %s/%s", row.mode, row.sampler)
+		}
+	}
+	if len(have) != len(substrateSweep) {
+		t.Errorf("fuzzSpecs has %d distinct rows, substrateSweep %d", len(have), len(substrateSweep))
 	}
 }
 

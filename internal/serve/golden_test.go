@@ -1,6 +1,6 @@
 package serve
 
-// Golden snapshot fixtures: one committed .snap file per codec family,
+// Golden snapshot fixtures: one committed .snap file per substrate,
 // produced from a fixed seed and a fixed ingest prefix. They pin the
 // on-disk format from both sides —
 //
