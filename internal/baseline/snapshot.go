@@ -64,9 +64,12 @@ func decodeChain[T any](r *snap.Reader) *chain[T] {
 
 // Snapshot writes the sampler's full state (header included) to w.
 func (c *Chain[T]) Snapshot(w io.Writer) error {
-	sw := snap.NewWriter(w, kindChain)
-	encodeChainTop(sw, c)
-	return sw.Err()
+	return snap.Save(w, kindChain, c, encodeChainTop[T])
+}
+
+// RestoreChain reads a Chain snapshot written by Snapshot.
+func RestoreChain[T any](r io.Reader) (*Chain[T], error) {
+	return snap.Restore(r, kindChain, decodeChainTop[T])
 }
 
 func encodeChainTop[T any](w *snap.Writer, c *Chain[T]) {
@@ -76,19 +79,6 @@ func encodeChainTop[T any](w *snap.Writer, c *Chain[T]) {
 	for _, ch := range c.chains {
 		encodeChain(w, ch)
 	}
-}
-
-// RestoreChain reads a Chain snapshot written by Snapshot.
-func RestoreChain[T any](r io.Reader) (*Chain[T], error) {
-	sr, err := snap.NewReader(r, kindChain)
-	if err != nil {
-		return nil, err
-	}
-	c := decodeChainTop[T](sr)
-	if err := sr.Err(); err != nil {
-		return nil, err
-	}
-	return c, nil
 }
 
 func decodeChainTop[T any](r *snap.Reader) *Chain[T] {
@@ -112,41 +102,41 @@ func decodeChainTop[T any](r *snap.Reader) *Chain[T] {
 
 // Snapshot writes the sampler's full state (header included) to w.
 func (o *Oversample[T]) Snapshot(w io.Writer) error {
-	sw := snap.NewWriter(w, kindOversample)
-	sw.U64(o.n)
-	sw.Int(o.k)
-	sw.Int(o.factor)
-	snap.WriteRand(sw, o.rng)
-	sw.U64(o.failures)
-	sw.U64(o.queries)
-	encodeChainTop(sw, o.inner)
-	return sw.Err()
+	return snap.Save(w, kindOversample, o, encodeOversample[T])
 }
 
 // RestoreOversample reads an Oversample snapshot written by Snapshot.
 func RestoreOversample[T any](r io.Reader) (*Oversample[T], error) {
-	sr, err := snap.NewReader(r, kindOversample)
-	if err != nil {
-		return nil, err
-	}
+	return snap.Restore(r, kindOversample, decodeOversample[T])
+}
+
+func encodeOversample[T any](w *snap.Writer, o *Oversample[T]) {
+	w.U64(o.n)
+	w.Int(o.k)
+	w.Int(o.factor)
+	snap.WriteRand(w, o.rng)
+	w.U64(o.failures)
+	w.U64(o.queries)
+	encodeChainTop(w, o.inner)
+}
+
+func decodeOversample[T any](r *snap.Reader) *Oversample[T] {
 	o := &Oversample[T]{}
-	o.n = sr.U64()
-	o.k = sr.Int()
-	o.factor = sr.Int()
-	o.rng = snap.ReadRand(sr)
-	o.failures = sr.U64()
-	o.queries = sr.U64()
-	if err := sr.Err(); err != nil {
-		return nil, err
+	o.n = r.U64()
+	o.k = r.Int()
+	o.factor = r.Int()
+	o.rng = snap.ReadRand(r)
+	o.failures = r.U64()
+	o.queries = r.U64()
+	if r.Err() != nil {
+		return o
 	}
 	if o.k <= 0 || o.factor < 1 || o.rng == nil {
-		return nil, snap.Errorf("baseline.Oversample with k %d, factor %d", o.k, o.factor)
+		r.Failf("baseline.Oversample with k %d, factor %d", o.k, o.factor)
+		return o
 	}
-	o.inner = decodeChainTop[T](sr)
-	if err := sr.Err(); err != nil {
-		return nil, err
-	}
-	return o, nil
+	o.inner = decodeChainTop[T](r)
+	return o
 }
 
 // ---------------------------------------------------------------------------
@@ -155,122 +145,122 @@ func RestoreOversample[T any](r io.Reader) (*Oversample[T], error) {
 
 // Snapshot writes the sampler's full state (header included) to w.
 func (p *Priority[T]) Snapshot(w io.Writer) error {
-	sw := snap.NewWriter(w, kindPriority)
-	sw.I64(p.t0)
-	sw.Int(p.k)
-	sw.U64(p.count)
-	sw.I64(p.now)
-	sw.Int(p.maxWords)
-	for _, c := range p.copies {
-		snap.WriteRand(sw, c.rng)
-		sw.Len(len(c.nodes))
-		for _, nd := range c.nodes {
-			snap.WriteStored(sw, nd.st)
-			sw.U64(nd.prio)
-		}
-	}
-	return sw.Err()
+	return snap.Save(w, kindPriority, p, encodePriority[T])
 }
 
 // RestorePriority reads a Priority snapshot written by Snapshot.
 func RestorePriority[T any](r io.Reader) (*Priority[T], error) {
-	sr, err := snap.NewReader(r, kindPriority)
-	if err != nil {
-		return nil, err
+	return snap.Restore(r, kindPriority, decodePriority[T])
+}
+
+func encodePriority[T any](w *snap.Writer, p *Priority[T]) {
+	w.I64(p.t0)
+	w.Int(p.k)
+	w.U64(p.count)
+	w.I64(p.now)
+	w.Int(p.maxWords)
+	for _, c := range p.copies {
+		snap.WriteRand(w, c.rng)
+		w.Len(len(c.nodes))
+		for _, nd := range c.nodes {
+			snap.WriteStored(w, nd.st)
+			w.U64(nd.prio)
+		}
 	}
+}
+
+func decodePriority[T any](r *snap.Reader) *Priority[T] {
 	p := &Priority[T]{}
-	p.t0 = sr.I64()
-	p.k = sr.Int()
-	p.count = sr.U64()
-	p.now = sr.I64()
-	p.maxWords = sr.Int()
-	if err := sr.Err(); err != nil {
-		return nil, err
+	p.t0 = r.I64()
+	p.k = r.Int()
+	p.count = r.U64()
+	p.now = r.I64()
+	p.maxWords = r.Int()
+	if r.Err() != nil {
+		return p
 	}
 	if p.t0 <= 0 || p.k <= 0 || p.k > snap.MaxParam {
-		return nil, snap.Errorf("baseline.Priority with t0 %d, k %d", p.t0, p.k)
+		r.Failf("baseline.Priority with t0 %d, k %d", p.t0, p.k)
+		return p
 	}
 	p.copies = make([]*prio[T], p.k)
-	for i := 0; i < p.k && sr.Err() == nil; i++ {
+	for i := 0; i < p.k && r.Err() == nil; i++ {
 		c := &prio[T]{w: window.Timestamp{T0: p.t0}}
-		c.rng = snap.ReadRand(sr)
-		if sr.Err() == nil && c.rng == nil {
-			sr.Failf("baseline.prio missing rng")
+		c.rng = snap.ReadRand(r)
+		if r.Err() == nil && c.rng == nil {
+			r.Failf("baseline.prio missing rng")
 			break
 		}
-		n := sr.Len(-1)
+		n := r.Len(-1)
 		c.nodes = make([]prioNode[T], 0, snap.CapHint(n))
-		for j := 0; j < n && sr.Err() == nil; j++ {
-			st := snap.ReadStored[T](sr)
-			pr := sr.U64()
-			if st == nil && sr.Err() == nil {
-				sr.Failf("baseline.prio with nil node")
+		for j := 0; j < n && r.Err() == nil; j++ {
+			st := snap.ReadStored[T](r)
+			pr := r.U64()
+			if st == nil && r.Err() == nil {
+				r.Failf("baseline.prio with nil node")
 				break
 			}
 			c.nodes = append(c.nodes, prioNode[T]{st: st, prio: pr})
 		}
 		p.copies[i] = c
 	}
-	if err := sr.Err(); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return p
 }
 
 // Snapshot writes the sampler's full state (header included) to w.
 func (s *Skyband[T]) Snapshot(w io.Writer) error {
-	sw := snap.NewWriter(w, kindSkyband)
-	sw.I64(s.t0)
-	sw.Int(s.k)
-	snap.WriteRand(sw, s.rng)
-	sw.U64(s.count)
-	sw.I64(s.now)
-	sw.Int(s.maxWords)
-	sw.Len(len(s.nodes))
-	for _, nd := range s.nodes {
-		snap.WriteStored(sw, nd.st)
-		sw.U64(nd.prio)
-		sw.Int(nd.dominated)
-	}
-	return sw.Err()
+	return snap.Save(w, kindSkyband, s, encodeSkyband[T])
 }
 
 // RestoreSkyband reads a Skyband snapshot written by Snapshot.
 func RestoreSkyband[T any](r io.Reader) (*Skyband[T], error) {
-	sr, err := snap.NewReader(r, kindSkyband)
-	if err != nil {
-		return nil, err
+	return snap.Restore(r, kindSkyband, decodeSkyband[T])
+}
+
+func encodeSkyband[T any](w *snap.Writer, s *Skyband[T]) {
+	w.I64(s.t0)
+	w.Int(s.k)
+	snap.WriteRand(w, s.rng)
+	w.U64(s.count)
+	w.I64(s.now)
+	w.Int(s.maxWords)
+	w.Len(len(s.nodes))
+	for _, nd := range s.nodes {
+		snap.WriteStored(w, nd.st)
+		w.U64(nd.prio)
+		w.Int(nd.dominated)
 	}
+}
+
+func decodeSkyband[T any](r *snap.Reader) *Skyband[T] {
 	s := &Skyband[T]{}
-	s.t0 = sr.I64()
-	s.k = sr.Int()
-	s.rng = snap.ReadRand(sr)
-	s.count = sr.U64()
-	s.now = sr.I64()
-	s.maxWords = sr.Int()
-	if err := sr.Err(); err != nil {
-		return nil, err
+	s.t0 = r.I64()
+	s.k = r.Int()
+	s.rng = snap.ReadRand(r)
+	s.count = r.U64()
+	s.now = r.I64()
+	s.maxWords = r.Int()
+	if r.Err() != nil {
+		return s
 	}
 	if s.t0 <= 0 || s.k <= 0 || s.rng == nil {
-		return nil, snap.Errorf("baseline.Skyband with t0 %d, k %d", s.t0, s.k)
+		r.Failf("baseline.Skyband with t0 %d, k %d", s.t0, s.k)
+		return s
 	}
 	s.w = window.Timestamp{T0: s.t0}
-	n := sr.Len(-1)
+	n := r.Len(-1)
 	s.nodes = make([]skyNode[T], 0, snap.CapHint(n))
-	for i := 0; i < n && sr.Err() == nil; i++ {
-		st := snap.ReadStored[T](sr)
-		prio := sr.U64()
-		dominated := sr.Int()
-		if st == nil && sr.Err() == nil {
-			sr.Failf("baseline.Skyband with nil node")
+	for i := 0; i < n && r.Err() == nil; i++ {
+		st := snap.ReadStored[T](r)
+		prio := r.U64()
+		dominated := r.Int()
+		if st == nil && r.Err() == nil {
+			r.Failf("baseline.Skyband with nil node")
 			break
 		}
 		s.nodes = append(s.nodes, skyNode[T]{st: st, prio: prio, dominated: dominated})
 	}
-	if err := sr.Err(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return s
 }
 
 // ---------------------------------------------------------------------------
@@ -281,41 +271,41 @@ func RestoreSkyband[T any](r io.Reader) (*Skyband[T], error) {
 // whole window content rides along — this is the store-everything
 // baseline, its snapshot is Θ(n) by construction.
 func (f *FullWindow[T]) Snapshot(w io.Writer) error {
-	sw := snap.NewWriter(w, kindFullWindow)
-	snap.WriteRand(sw, f.rng)
-	sw.U64(f.n)
-	sw.I64(f.lastTS)
-	sw.Int(f.k)
-	sw.Bool(f.wor)
-	sw.Int(f.maxWords)
-	window.EncodeSeqBuffer(sw, f.seq)
-	window.EncodeTSBuffer(sw, f.tsb)
-	return sw.Err()
+	return snap.Save(w, kindFullWindow, f, encodeFullWindow[T])
 }
 
 // RestoreFullWindow reads a FullWindow snapshot written by Snapshot.
 func RestoreFullWindow[T any](r io.Reader) (*FullWindow[T], error) {
-	sr, err := snap.NewReader(r, kindFullWindow)
-	if err != nil {
-		return nil, err
-	}
+	return snap.Restore(r, kindFullWindow, decodeFullWindow[T])
+}
+
+func encodeFullWindow[T any](w *snap.Writer, f *FullWindow[T]) {
+	snap.WriteRand(w, f.rng)
+	w.U64(f.n)
+	w.I64(f.lastTS)
+	w.Int(f.k)
+	w.Bool(f.wor)
+	w.Int(f.maxWords)
+	window.EncodeSeqBuffer(w, f.seq)
+	window.EncodeTSBuffer(w, f.tsb)
+}
+
+func decodeFullWindow[T any](r *snap.Reader) *FullWindow[T] {
 	f := &FullWindow[T]{}
-	f.rng = snap.ReadRand(sr)
-	f.n = sr.U64()
-	f.lastTS = sr.I64()
-	f.k = sr.Int()
-	f.wor = sr.Bool()
-	f.maxWords = sr.Int()
-	f.seq = window.DecodeSeqBuffer[T](sr)
-	f.tsb = window.DecodeTSBuffer[T](sr)
-	if err := sr.Err(); err != nil {
-		return nil, err
+	f.rng = snap.ReadRand(r)
+	f.n = r.U64()
+	f.lastTS = r.I64()
+	f.k = r.Int()
+	f.wor = r.Bool()
+	f.maxWords = r.Int()
+	f.seq = window.DecodeSeqBuffer[T](r)
+	f.tsb = window.DecodeTSBuffer[T](r)
+	switch {
+	case r.Err() != nil:
+	case f.rng == nil:
+		r.Failf("baseline.FullWindow missing rng")
+	case (f.seq == nil) == (f.tsb == nil):
+		r.Failf("baseline.FullWindow needs exactly one buffer")
 	}
-	if f.rng == nil {
-		return nil, snap.Errorf("baseline.FullWindow missing rng")
-	}
-	if (f.seq == nil) == (f.tsb == nil) {
-		return nil, snap.Errorf("baseline.FullWindow needs exactly one buffer")
-	}
-	return f, nil
+	return f
 }

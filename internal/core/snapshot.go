@@ -116,14 +116,15 @@ func decodeDecomp[T any](r *snap.Reader, k int) *decomp[T] {
 
 // Snapshot writes the sampler's full state (header included) to w.
 func (s *SeqWOR[T]) Snapshot(w io.Writer) error {
-	sw := snap.NewWriter(w, kindSeqWOR)
-	EncodeSeqWOR(sw, s)
-	return sw.Err()
+	return snap.Save(w, kindSeqWOR, s, encodeSeqWOR[T])
 }
 
-// EncodeSeqWOR writes the header-less body on a shared writer (for
-// enclosing snapshots such as the sharded dispatchers).
-func EncodeSeqWOR[T any](w *snap.Writer, s *SeqWOR[T]) {
+// RestoreSeqWOR reads a SeqWOR snapshot written by Snapshot.
+func RestoreSeqWOR[T any](r io.Reader) (*SeqWOR[T], error) {
+	return snap.Restore(r, kindSeqWOR, decodeSeqWOR[T])
+}
+
+func encodeSeqWOR[T any](w *snap.Writer, s *SeqWOR[T]) {
 	w.U64(s.n)
 	w.Int(s.k)
 	snap.WriteRand(w, s.rng)
@@ -141,21 +142,7 @@ func EncodeSeqWOR[T any](w *snap.Writer, s *SeqWOR[T]) {
 	}
 }
 
-// RestoreSeqWOR reads a SeqWOR snapshot written by Snapshot.
-func RestoreSeqWOR[T any](r io.Reader) (*SeqWOR[T], error) {
-	sr, err := snap.NewReader(r, kindSeqWOR)
-	if err != nil {
-		return nil, err
-	}
-	s := DecodeSeqWOR[T](sr)
-	if err := sr.Err(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// DecodeSeqWOR reads the header-less body on a shared reader.
-func DecodeSeqWOR[T any](r *snap.Reader) *SeqWOR[T] {
+func decodeSeqWOR[T any](r *snap.Reader) *SeqWOR[T] {
 	s := &SeqWOR[T]{}
 	s.n = r.U64()
 	s.k = r.Int()
@@ -199,12 +186,16 @@ func DecodeSeqWOR[T any](r *snap.Reader) *SeqWOR[T] {
 
 // Snapshot writes the sampler's full state (header included) to w.
 func (s *SeqWR[T]) Snapshot(w io.Writer) error {
-	sw := snap.NewWriter(w, kindSeqWR)
-	EncodeSeqWR(sw, s)
-	return sw.Err()
+	return snap.Save(w, kindSeqWR, s, EncodeSeqWR[T])
 }
 
-// EncodeSeqWR writes the header-less body on a shared writer.
+// RestoreSeqWR reads a SeqWR snapshot written by Snapshot.
+func RestoreSeqWR[T any](r io.Reader) (*SeqWR[T], error) {
+	return snap.Restore(r, kindSeqWR, DecodeSeqWR[T])
+}
+
+// EncodeSeqWR writes the header-less body on a shared writer (for the
+// sharded dispatcher snapshots).
 func EncodeSeqWR[T any](w *snap.Writer, s *SeqWR[T]) {
 	w.U64(s.n)
 	w.Int(s.k)
@@ -214,19 +205,6 @@ func EncodeSeqWR[T any](w *snap.Writer, s *SeqWR[T]) {
 		reservoir.EncodeSingle(w, s.partial[i])
 		snap.WriteStored(w, s.complete[i])
 	}
-}
-
-// RestoreSeqWR reads a SeqWR snapshot written by Snapshot.
-func RestoreSeqWR[T any](r io.Reader) (*SeqWR[T], error) {
-	sr, err := snap.NewReader(r, kindSeqWR)
-	if err != nil {
-		return nil, err
-	}
-	s := DecodeSeqWR[T](sr)
-	if err := sr.Err(); err != nil {
-		return nil, err
-	}
-	return s, nil
 }
 
 // DecodeSeqWR reads the header-less body on a shared reader.
@@ -260,9 +238,12 @@ func DecodeSeqWR[T any](r *snap.Reader) *SeqWR[T] {
 // Snapshot writes the sampler's full state (header included) to w. The
 // sampler must not be mid-ingest (single-goroutine contract, as ever).
 func (s *TSWR[T]) Snapshot(w io.Writer) error {
-	sw := snap.NewWriter(w, kindTSWR)
-	EncodeTSWR(sw, s)
-	return sw.Err()
+	return snap.Save(w, kindTSWR, s, EncodeTSWR[T])
+}
+
+// RestoreTSWR reads a TSWR snapshot written by Snapshot.
+func RestoreTSWR[T any](r io.Reader) (*TSWR[T], error) {
+	return snap.Restore(r, kindTSWR, DecodeTSWR[T])
 }
 
 // EncodeTSWR writes the header-less body on a shared writer.
@@ -281,19 +262,6 @@ func EncodeTSWR[T any](w *snap.Writer, s *TSWR[T]) {
 		encodeBS(w, s.straddle)
 	}
 	encodeDecomp(w, s.d)
-}
-
-// RestoreTSWR reads a TSWR snapshot written by Snapshot.
-func RestoreTSWR[T any](r io.Reader) (*TSWR[T], error) {
-	sr, err := snap.NewReader(r, kindTSWR)
-	if err != nil {
-		return nil, err
-	}
-	s := DecodeTSWR[T](sr)
-	if err := sr.Err(); err != nil {
-		return nil, err
-	}
-	return s, nil
 }
 
 // DecodeTSWR reads the header-less body on a shared reader.
@@ -335,9 +303,12 @@ func DecodeTSWR[T any](r *snap.Reader) *TSWR[T] {
 
 // Snapshot writes the sampler's full state (header included) to w.
 func (s *TSWOR[T]) Snapshot(w io.Writer) error {
-	sw := snap.NewWriter(w, kindTSWOR)
-	EncodeTSWOR(sw, s)
-	return sw.Err()
+	return snap.Save(w, kindTSWOR, s, EncodeTSWOR[T])
+}
+
+// RestoreTSWOR reads a TSWOR snapshot written by Snapshot.
+func RestoreTSWOR[T any](r io.Reader) (*TSWOR[T], error) {
+	return snap.Restore(r, kindTSWOR, DecodeTSWOR[T])
 }
 
 // EncodeTSWOR writes the header-less body on a shared writer. The ring
@@ -358,19 +329,6 @@ func EncodeTSWOR[T any](w *snap.Writer, s *TSWOR[T]) {
 	for i := s.tailLen - 1; i >= 0; i-- {
 		snap.WriteElement(w, s.tailFromEnd(i))
 	}
-}
-
-// RestoreTSWOR reads a TSWOR snapshot written by Snapshot.
-func RestoreTSWOR[T any](r io.Reader) (*TSWOR[T], error) {
-	sr, err := snap.NewReader(r, kindTSWOR)
-	if err != nil {
-		return nil, err
-	}
-	s := DecodeTSWOR[T](sr)
-	if err := sr.Err(); err != nil {
-		return nil, err
-	}
-	return s, nil
 }
 
 // DecodeTSWOR reads the header-less body on a shared reader. The ring is

@@ -15,14 +15,12 @@ const (
 
 // Snapshot writes the counter's full state (header included) to w.
 func (c *Counter) Snapshot(w io.Writer) error {
-	sw := snap.NewWriter(w, kindCounter)
-	c.encode(sw)
-	return sw.Err()
+	return snap.Save(w, kindCounter, c, encodeCounter)
 }
 
-// encode writes the body on a shared writer (for embedding inside an
-// enclosing sampler snapshot).
-func (c *Counter) encode(w *snap.Writer) {
+// encodeCounter writes the body on a shared writer (for embedding inside
+// an enclosing sampler snapshot).
+func encodeCounter(w *snap.Writer, c *Counter) {
 	w.I64(c.w.T0)
 	w.Int(c.maxPerSize)
 	w.I64(c.now)
@@ -38,15 +36,7 @@ func (c *Counter) encode(w *snap.Writer) {
 
 // Restore reads a Counter snapshot written by Snapshot.
 func Restore(r io.Reader) (*Counter, error) {
-	sr, err := snap.NewReader(r, kindCounter)
-	if err != nil {
-		return nil, err
-	}
-	c := decodeCounter(sr)
-	if err := sr.Err(); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return snap.Restore(r, kindCounter, decodeCounter)
 }
 
 // decodeCounter reads the body on a shared reader.
@@ -128,12 +118,10 @@ func checkClocks(r *snap.Reader, kind string, i int, prevNewest, oldest, newest,
 
 // Snapshot writes the weight histogram's full state (header included).
 func (c *Weighted) Snapshot(w io.Writer) error {
-	sw := snap.NewWriter(w, kindWeighted)
-	c.encode(sw)
-	return sw.Err()
+	return snap.Save(w, kindWeighted, c, encodeWeighted)
 }
 
-func (c *Weighted) encode(w *snap.Writer) {
+func encodeWeighted(w *snap.Writer, c *Weighted) {
 	w.I64(c.w.T0)
 	w.F64(c.eps)
 	w.F64(c.total)
@@ -150,15 +138,7 @@ func (c *Weighted) encode(w *snap.Writer) {
 
 // RestoreWeighted reads a Weighted snapshot written by Snapshot.
 func RestoreWeighted(r io.Reader) (*Weighted, error) {
-	sr, err := snap.NewReader(r, kindWeighted)
-	if err != nil {
-		return nil, err
-	}
-	c := decodeWeighted(sr)
-	if err := sr.Err(); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return snap.Restore(r, kindWeighted, decodeWeighted)
 }
 
 func decodeWeighted(r *snap.Reader) *Weighted {
@@ -220,7 +200,7 @@ func EncodeCounter(w *snap.Writer, c *Counter) {
 		return
 	}
 	w.Bool(true)
-	c.encode(w)
+	encodeCounter(w, c)
 }
 
 // DecodeCounter reads a Counter body written by EncodeCounter.
@@ -238,7 +218,7 @@ func EncodeWeighted(w *snap.Writer, c *Weighted) {
 		return
 	}
 	w.Bool(true)
-	c.encode(w)
+	encodeWeighted(w, c)
 }
 
 // DecodeWeighted reads a Weighted body written by EncodeWeighted.

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"slidingsample/internal/snap"
 	"slidingsample/internal/window"
 	"slidingsample/internal/xrand"
 )
@@ -15,10 +14,8 @@ import (
 func counterBody(t *testing.T, maxPerSize int, now int64, started bool, bs ...bucket[int64]) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := snap.NewWriter(&buf, kindCounter)
 	c := &Counter{w: window.Timestamp{T0: 100}, maxPerSize: maxPerSize, now: now, started: started, buckets: bs}
-	c.encode(w)
-	if err := w.Err(); err != nil {
+	if err := c.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -27,13 +24,11 @@ func counterBody(t *testing.T, maxPerSize int, now int64, started bool, bs ...bu
 func weightedBody(t *testing.T, now int64, started bool, bs ...wbucket) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := snap.NewWriter(&buf, kindWeighted)
 	c := &Weighted{w: window.Timestamp{T0: 100}, eps: 0.1, now: now, started: started, buckets: bs}
 	for _, b := range bs {
 		c.total += b.sum
 	}
-	c.encode(w)
-	if err := w.Err(); err != nil {
+	if err := c.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

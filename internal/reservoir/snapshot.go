@@ -64,27 +64,3 @@ func DecodeK[T any](r *snap.Reader) *K[T] {
 	}
 	return s
 }
-
-// EncodeFastSingle writes the full state of a FastSingle.
-func EncodeFastSingle[T any](w *snap.Writer, s *FastSingle[T]) {
-	snap.WriteRand(w, s.rng)
-	w.U64(s.count)
-	w.U64(s.skip)
-	w.F64(s.w)
-	snap.WriteStored(w, s.cur)
-}
-
-// DecodeFastSingle reads a FastSingle previously written by
-// EncodeFastSingle.
-func DecodeFastSingle[T any](r *snap.Reader) *FastSingle[T] {
-	s := &FastSingle[T]{}
-	s.rng = snap.ReadRand(r)
-	s.count = r.U64()
-	s.skip = r.U64()
-	s.w = r.F64()
-	s.cur = snap.ReadStored[T](r)
-	if r.Err() == nil && s.rng == nil {
-		r.Failf("reservoir.FastSingle missing rng")
-	}
-	return s
-}

@@ -31,6 +31,30 @@ import (
 // kindServeInstance heads a serving-layer instance snapshot.
 const kindServeInstance = "serve.Instance"
 
+// instanceHeader is the serve layer's own snapshot body: the admission
+// counters and the stream clock. The substrate's snapshot follows it.
+type instanceHeader struct {
+	events  uint64 // elements admitted
+	walSkip uint64 // WAL records the snapshot covers
+	last    int64
+	begun   bool
+}
+
+func encodeInstanceHeader(w *snap.Writer, h instanceHeader) {
+	w.U64(h.events)
+	w.U64(h.walSkip)
+	w.I64(h.last)
+	w.Bool(h.begun)
+}
+
+func decodeInstanceHeader(r *snap.Reader) instanceHeader {
+	h := instanceHeader{events: r.U64(), walSkip: r.U64(), last: r.I64(), begun: r.Bool()}
+	if r.Err() == nil && h.walSkip > h.events {
+		r.Failf("serve: snapshot covers %d wal records but admitted only %d events", h.walSkip, h.events)
+	}
+	return h
+}
+
 // maxSnapshotBytes bounds a POST /restore body. Snapshots are k-sized, not
 // window-sized, for every substrate but the fullwindow baseline; this cap
 // comfortably covers the serving cap on that ring too.
@@ -52,19 +76,13 @@ func (in *Instance) Snapshot(w io.Writer) error {
 	batches := in.queue
 	in.queue = nil
 	in.queuedEvents = 0
-	events, last, begun := in.events, in.last, in.begun
-	walSkip := events - in.walBase
+	h := instanceHeader{events: in.events, walSkip: in.events - in.walBase, last: in.last, begun: in.begun}
 	in.qmu.Unlock()
 	in.applyLocked(batches)
 	if in.barrier != nil {
 		in.barrier()
 	}
-	sw := snap.NewWriter(w, kindServeInstance)
-	sw.U64(events)
-	sw.U64(walSkip)
-	sw.I64(last)
-	sw.Bool(begun)
-	if err := sw.Err(); err != nil {
+	if err := snap.Save(w, kindServeInstance, h, encodeInstanceHeader); err != nil {
 		return err
 	}
 	return substrate.Snapshot(w, in.spec, in.built)
@@ -75,19 +93,9 @@ func (in *Instance) Snapshot(w io.Writer) error {
 // return is the number of WAL records the snapshot already covers — the
 // caller skips that many lines when replaying the instance's WAL.
 func RestoreInstance(r io.Reader) (*Instance, uint64, error) {
-	sr, err := snap.NewReader(r, kindServeInstance)
+	h, err := snap.Restore(r, kindServeInstance, decodeInstanceHeader)
 	if err != nil {
 		return nil, 0, err
-	}
-	events := sr.U64()
-	walSkip := sr.U64()
-	last := sr.I64()
-	begun := sr.Bool()
-	if err := sr.Err(); err != nil {
-		return nil, 0, err
-	}
-	if walSkip > events {
-		return nil, 0, snap.Errorf("serve: snapshot covers %d wal records but admitted only %d events", walSkip, events)
 	}
 	spec, built, err := substrate.Restore(r)
 	if err != nil {
@@ -110,15 +118,15 @@ func RestoreInstance(r io.Reader) (*Instance, uint64, error) {
 	// Every admitted element was applied before the snapshot cut, so the
 	// substrate's own count must match the admission counter exactly; a
 	// mismatch means a spliced snapshot.
-	if c := ing.Count(); c != events {
+	if c := ing.Count(); c != h.events {
 		closeBuilt()
-		return nil, 0, snap.Errorf("serve: snapshot admitted %d events but the substrate counted %d", events, c)
+		return nil, 0, snap.Errorf("serve: snapshot admitted %d events but the substrate counted %d", h.events, c)
 	}
 	inst := newInstance(spec, built)
 	inst.qmu.Lock()
-	inst.events, inst.last, inst.begun = events, last, begun
+	inst.events, inst.last, inst.begun = h.events, h.last, h.begun
 	inst.qmu.Unlock()
-	return inst, walSkip, nil
+	return inst, h.walSkip, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -213,9 +213,7 @@ func TestRestoreVersionBump(t *testing.T) {
 // the header check must refuse before any body decoding happens.
 func TestRestoreKindMismatch(t *testing.T) {
 	var buf bytes.Buffer
-	sw := snap.NewWriter(&buf, "serve.SomethingElse")
-	sw.U64(0)
-	if err := sw.Err(); err != nil {
+	if err := snap.Save(&buf, "serve.SomethingElse", 0, (*snap.Writer).U64); err != nil {
 		t.Fatal(err)
 	}
 	inst, _, err := RestoreInstance(bytes.NewReader(buf.Bytes()))

@@ -132,10 +132,6 @@ func (s *Server) stateDir() *StateDir {
 	return s.state
 }
 
-// Adopt inserts an already-built instance — a restored snapshot — under
-// name. Unlike Register it never builds and never touches the state dir.
-func (s *Server) Adopt(name string, inst *Instance) error { return s.adopt(name, inst, nil) }
-
 // adopt inserts inst under name, first making it durable in sd when sd is
 // non-nil. Both happen under the registry lock: the WAL is attached before
 // any request can reach the instance (Enable's contract), and a name that

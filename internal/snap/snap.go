@@ -11,14 +11,23 @@
 //
 // The header pins both the codec version and the concrete type, so a
 // reader pointed at the wrong snapshot fails loudly instead of decoding
-// garbage. Both Writer and Reader are sticky-error: the first failure is
-// latched and every later call is a no-op, so encode/decode code reads as
-// straight-line field lists with a single Err() check at the end.
+// garbage. Save and Restore are the one skeleton every snapshot goes
+// through: Save writes the header and hands a Writer to the kind's body
+// encoder, Restore checks the header, hands a Reader to the body decoder
+// and returns the first error. Both Writer and Reader are sticky-error:
+// the first failure is latched and every later call is a no-op, so body
+// codecs read as straight-line field lists, and a decoder refuses bad
+// input by latching it with Failf rather than returning early.
+//
+// A snapshot may embed another whole snapshot after its body (the serve
+// header, the substrate spec and the public timestamp adapters do): the
+// codec reads exactly what was written, so the inner snapshot starts at
+// the next byte of the same stream.
 //
 // Decoders must never panic on corrupt input (the FuzzRestore batteries
 // enforce this): all length prefixes are bounded before allocation, byte
 // payloads are read in chunks so a lying length hits EOF before OOM, and
-// every numeric parameter is validated by the caller after decode.
+// every numeric parameter is validated by its decoder after it is read.
 package snap
 
 import (
@@ -70,16 +79,41 @@ func Errorf(format string, args ...any) error {
 // Writer
 // ---------------------------------------------------------------------------
 
-// Writer encodes a snapshot body. Construct with NewWriter, which emits
-// the header; check Err (or Close) once after the last field.
+// Save writes one snapshot of s to w: the header naming kind, then the
+// body through encode. It returns the first write error.
+func Save[S any](w io.Writer, kind string, s S, encode func(*Writer, S)) error {
+	sw := newWriter(w, kind)
+	encode(sw, s)
+	return sw.err
+}
+
+// Restore reads one snapshot written by Save: it checks the header for
+// kind, then decodes the body with decode. A header, read or refusal
+// failure returns the zero S and the first error, so a decoder that
+// starts goroutines must do so last, once nothing else can fail.
+func Restore[S any](r io.Reader, kind string, decode func(*Reader) S) (S, error) {
+	var zero S
+	sr, err := newReader(r, kind)
+	if err != nil {
+		return zero, err
+	}
+	s := decode(sr)
+	if sr.err != nil {
+		return zero, sr.err
+	}
+	return s, nil
+}
+
+// Writer encodes a snapshot body. Save constructs it after the header;
+// body encoders write fields and never check errors themselves.
 type Writer struct {
 	w   io.Writer
 	err error
 	buf [8]byte
 }
 
-// NewWriter emits the magic+version+kind header and returns a body writer.
-func NewWriter(w io.Writer, kind string) *Writer {
+// newWriter emits the magic+version+kind header and returns a body writer.
+func newWriter(w io.Writer, kind string) *Writer {
 	sw := &Writer{w: w}
 	if _, err := w.Write(magic[:]); err != nil {
 		sw.err = err
@@ -145,18 +179,18 @@ func (w *Writer) Len(n int) { w.U64(uint64(n)) }
 // Reader
 // ---------------------------------------------------------------------------
 
-// Reader decodes a snapshot body. Construct with NewReader, which
-// verifies the header; check Err once after the last field.
+// Reader decodes a snapshot body. Restore constructs it after the header
+// checked out and returns its first error once the body decoder is done.
 type Reader struct {
 	r   io.Reader
 	err error
 	buf [8]byte
 }
 
-// NewReader verifies the magic, version, and kind header. A mismatch is a
+// newReader verifies the magic, version, and kind header. A mismatch is a
 // hard error: restoring a "core.SeqWR" stream into a TSWOR decoder must
 // fail before a single body field is read.
-func NewReader(r io.Reader, kind string) (*Reader, error) {
+func newReader(r io.Reader, kind string) (*Reader, error) {
 	sr := &Reader{r: r}
 	var m [4]byte
 	if _, err := io.ReadFull(r, m[:]); err != nil {
@@ -182,41 +216,8 @@ func NewReader(r io.Reader, kind string) (*Reader, error) {
 	return sr, nil
 }
 
-// PeekKind reads a snapshot header and returns its kind string without
-// requiring the caller to know it in advance. Used by dispatching
-// restorers (substrate.Restore) that route on the kind.
-func PeekKind(r io.Reader) (string, error) {
-	sr := &Reader{r: r}
-	var m [4]byte
-	if _, err := io.ReadFull(r, m[:]); err != nil {
-		return "", Errorf("reading magic: %v", err)
-	}
-	if m != magic {
-		return "", Errorf("bad magic %q", m[:])
-	}
-	var v [2]byte
-	if _, err := io.ReadFull(r, v[:]); err != nil {
-		return "", Errorf("reading version: %v", err)
-	}
-	if got := binary.LittleEndian.Uint16(v[:]); got != Version {
-		return "", Errorf("unsupported snapshot version %d (want %d)", got, Version)
-	}
-	kind := sr.String()
-	if sr.err != nil {
-		return "", sr.err
-	}
-	return kind, nil
-}
-
 // Err returns the first error encountered, if any.
 func (r *Reader) Err() error { return r.err }
-
-// Fail latches an error from the caller (semantic validation failures).
-func (r *Reader) Fail(err error) {
-	if r.err == nil {
-		r.err = err
-	}
-}
 
 // Failf latches a formatted ErrFormat-wrapping error.
 func (r *Reader) Failf(format string, args ...any) {
@@ -457,18 +458,12 @@ func ReadStored[T any](r *Reader) *stream.Stored[T] {
 	return &stream.Stored[T]{Elem: ReadElement[T](r)}
 }
 
-// WriteRand encodes the full xorshiro state of a generator.
+// WriteRand encodes the full xorshiro state of a generator (nil-aware).
 func WriteRand(w *Writer, rng *xrand.Rand) {
-	if rng == nil {
-		w.Bool(false)
-		return
+	w.Bool(rng != nil)
+	if rng != nil {
+		WriteRandValue(w, rng)
 	}
-	w.Bool(true)
-	s0, s1, s2, s3 := rng.State()
-	w.U64(s0)
-	w.U64(s1)
-	w.U64(s2)
-	w.U64(s3)
 }
 
 // ReadRand decodes a generator (nil-aware).
@@ -476,12 +471,11 @@ func ReadRand(r *Reader) *xrand.Rand {
 	if !r.Bool() {
 		return nil
 	}
-	rng := xrand.New(0)
-	rng.SetState(r.U64(), r.U64(), r.U64(), r.U64())
+	rng := ReadRandValue(r)
 	if r.err != nil {
 		return nil
 	}
-	return rng
+	return &rng
 }
 
 // WriteRandValue encodes a by-value generator (the weighted skybands embed

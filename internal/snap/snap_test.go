@@ -13,7 +13,7 @@ import (
 
 func TestRoundTripPrimitives(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf, "test.Kind")
+	w := newWriter(&buf, "test.Kind")
 	w.U64(math.MaxUint64)
 	w.I64(-42)
 	w.Int(7)
@@ -28,7 +28,7 @@ func TestRoundTripPrimitives(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := NewReader(bytes.NewReader(buf.Bytes()), "test.Kind")
+	r, err := newReader(bytes.NewReader(buf.Bytes()), "test.Kind")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestRoundTripPrimitives(t *testing.T) {
 
 func TestRoundTripTaggedValues(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf, "test.Values")
+	w := newWriter(&buf, "test.Values")
 	WriteElement(w, stream.Element[string]{Value: "e", Index: 9, TS: 4})
 	WriteStored(w, &stream.Stored[uint64]{Elem: stream.Element[uint64]{Value: 77, Index: 1, TS: 2}})
 	WriteStored[uint64](w, nil)
@@ -81,7 +81,7 @@ func TestRoundTripTaggedValues(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := NewReader(bytes.NewReader(buf.Bytes()), "test.Values")
+	r, err := newReader(bytes.NewReader(buf.Bytes()), "test.Values")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,37 +108,34 @@ func TestRoundTripTaggedValues(t *testing.T) {
 
 func TestHeaderMismatch(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf, "test.A")
+	w := newWriter(&buf, "test.A")
 	w.U64(1)
 	if err := w.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewReader(bytes.NewReader(buf.Bytes()), "test.B"); !errors.Is(err, ErrFormat) {
+	if _, err := newReader(bytes.NewReader(buf.Bytes()), "test.B"); !errors.Is(err, ErrFormat) {
 		t.Errorf("kind mismatch error = %v, want ErrFormat", err)
-	}
-	if kind, err := PeekKind(bytes.NewReader(buf.Bytes())); err != nil || kind != "test.A" {
-		t.Errorf("PeekKind = %q, %v", kind, err)
 	}
 	bad := bytes.Clone(buf.Bytes())
 	bad[0] = 'X'
-	if _, err := NewReader(bytes.NewReader(bad), "test.A"); !errors.Is(err, ErrFormat) {
+	if _, err := newReader(bytes.NewReader(bad), "test.A"); !errors.Is(err, ErrFormat) {
 		t.Errorf("magic mismatch error = %v, want ErrFormat", err)
 	}
 	bad = bytes.Clone(buf.Bytes())
 	bad[4], bad[5] = 0xFE, 0xCA
-	if _, err := NewReader(bytes.NewReader(bad), "test.A"); !errors.Is(err, ErrFormat) {
+	if _, err := newReader(bytes.NewReader(bad), "test.A"); !errors.Is(err, ErrFormat) {
 		t.Errorf("version mismatch error = %v, want ErrFormat", err)
 	}
 }
 
 func TestStickyError(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf, "test.Sticky")
+	w := newWriter(&buf, "test.Sticky")
 	w.U64(1)
 	if err := w.Err(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()), "test.Sticky")
+	r, err := newReader(bytes.NewReader(buf.Bytes()), "test.Sticky")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,20 +155,20 @@ func TestStickyError(t *testing.T) {
 
 func TestLimits(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf, "test.Limits")
+	w := newWriter(&buf, "test.Limits")
 	w.U64(uint64(MaxLen) + 1)
 	w.U64(uint64(MaxString) + 1)
 	if err := w.Err(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()), "test.Limits")
+	r, err := newReader(bytes.NewReader(buf.Bytes()), "test.Limits")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := r.Len(-1); got != 0 || !errors.Is(r.Err(), ErrFormat) {
 		t.Errorf("oversized Len = %d, err %v", got, r.Err())
 	}
-	r2, err := NewReader(bytes.NewReader(buf.Bytes()), "test.Limits")
+	r2, err := newReader(bytes.NewReader(buf.Bytes()), "test.Limits")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,9 +178,9 @@ func TestLimits(t *testing.T) {
 	}
 	// A bounded Len enforces the caller's tighter max too.
 	var buf3 bytes.Buffer
-	w3 := NewWriter(&buf3, "test.Limits")
+	w3 := newWriter(&buf3, "test.Limits")
 	w3.Len(11)
-	r3, err := NewReader(bytes.NewReader(buf3.Bytes()), "test.Limits")
+	r3, err := newReader(bytes.NewReader(buf3.Bytes()), "test.Limits")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,9 +204,9 @@ func TestCapHint(t *testing.T) {
 // back without consuming a byte past its own end.
 func TestNestedSnapshots(t *testing.T) {
 	var buf bytes.Buffer
-	outer := NewWriter(&buf, "test.Outer")
+	outer := newWriter(&buf, "test.Outer")
 	outer.U64(1)
-	inner := NewWriter(&buf, "test.Inner")
+	inner := newWriter(&buf, "test.Inner")
 	inner.String("inner body")
 	outer.U64(2)
 	if err := outer.Err(); err != nil {
@@ -220,14 +217,14 @@ func TestNestedSnapshots(t *testing.T) {
 	}
 
 	src := bytes.NewReader(buf.Bytes())
-	or, err := NewReader(src, "test.Outer")
+	or, err := newReader(src, "test.Outer")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := or.U64(); got != 1 {
 		t.Fatalf("outer pre-field = %d", got)
 	}
-	ir, err := NewReader(src, "test.Inner")
+	ir, err := newReader(src, "test.Inner")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,5 +246,51 @@ func TestErrorfWrapsFormat(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "bad thing 7") {
 		t.Errorf("Errorf lost its message: %v", err)
+	}
+}
+
+// TestSaveRestore pins the skeleton every snapshot kind goes through: the
+// body round-trips, a header mismatch never reaches the decoder, and a
+// decoder's refusal comes back as Restore's error with the zero value.
+func TestSaveRestore(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Save(&buf, "test.Pair", [2]int{3, -4}, func(w *Writer, p [2]int) {
+		w.Int(p[0])
+		w.Int(p[1])
+	}); err != nil {
+		t.Fatal(err)
+	}
+	decode := func(r *Reader) *[2]int {
+		p := &[2]int{r.Int(), r.Int()}
+		if r.Err() == nil && p[0] < 0 {
+			r.Failf("pair with first %d", p[0])
+		}
+		return p
+	}
+	got, err := Restore(bytes.NewReader(buf.Bytes()), "test.Pair", decode)
+	if err != nil || *got != [2]int{3, -4} {
+		t.Fatalf("Restore = %v, %v", got, err)
+	}
+
+	called := false
+	if _, err := Restore(bytes.NewReader(buf.Bytes()), "test.Other", func(r *Reader) int {
+		called = true
+		return 0
+	}); !errors.Is(err, ErrFormat) || called {
+		t.Errorf("kind mismatch: err %v, decoder called %v", err, called)
+	}
+
+	var neg bytes.Buffer
+	if err := Save(&neg, "test.Pair", -1, (*Writer).Int); err != nil {
+		t.Fatal(err)
+	}
+	neg.Write(make([]byte, 8))
+	got, err = Restore(bytes.NewReader(neg.Bytes()), "test.Pair", decode)
+	if got != nil || !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "pair with first -1") {
+		t.Errorf("refused body: Restore = %v, %v", got, err)
+	}
+
+	if got, err := Restore(bytes.NewReader(buf.Bytes()[:buf.Len()-1]), "test.Pair", decode); got != nil || !errors.Is(err, ErrFormat) {
+		t.Errorf("truncated body: Restore = %v, %v", got, err)
 	}
 }

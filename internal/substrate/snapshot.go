@@ -58,9 +58,7 @@ func Snapshot(w io.Writer, spec Spec, built any) error {
 	if !ok {
 		return fmt.Errorf("substrate: %T does not support snapshots", built)
 	}
-	sw := snap.NewWriter(w, kindInstance)
-	encodeSpec(sw, spec)
-	if err := sw.Err(); err != nil {
+	if err := snap.Save(w, kindInstance, spec, encodeSpec); err != nil {
 		return err
 	}
 	return s.Snapshot(w)
@@ -72,12 +70,8 @@ func Snapshot(w io.Writer, spec Spec, built any) error {
 // bit-identically to the one that was snapshotted. It returns the spec
 // alongside the substrate so callers can re-register capabilities.
 func Restore(r io.Reader) (Spec, any, error) {
-	sr, err := snap.NewReader(r, kindInstance)
+	spec, err := snap.Restore(r, kindInstance, decodeSpec)
 	if err != nil {
-		return Spec{}, nil, err
-	}
-	spec := decodeSpec(sr)
-	if err := sr.Err(); err != nil {
 		return Spec{}, nil, err
 	}
 	if err := spec.Validate(); err != nil {

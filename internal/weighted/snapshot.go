@@ -90,9 +90,7 @@ func decodeTSSkyband[T any](r *snap.Reader, t0 int64, k int) tsSkyband[T] {
 // Snapshot writes the sampler's full state (header included) to w. The
 // weight function is NOT captured; Restore re-binds it.
 func (s *WOR[T]) Snapshot(w io.Writer) error {
-	sw := snap.NewWriter(w, kindWOR)
-	EncodeWOR(sw, s)
-	return sw.Err()
+	return snap.Save(w, kindWOR, s, EncodeWOR[T])
 }
 
 // EncodeWOR writes the header-less body on a shared writer (for the
@@ -107,15 +105,7 @@ func EncodeWOR[T any](w *snap.Writer, s *WOR[T]) {
 
 // RestoreWOR reads a WOR snapshot, re-binding the given weight function.
 func RestoreWOR[T any](r io.Reader, weight func(T) float64) (*WOR[T], error) {
-	sr, err := snap.NewReader(r, kindWOR)
-	if err != nil {
-		return nil, err
-	}
-	s := DecodeWOR(sr, weight)
-	if err := sr.Err(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return snap.Restore(r, kindWOR, func(r *snap.Reader) *WOR[T] { return DecodeWOR(r, weight) })
 }
 
 // DecodeWOR reads the header-less body on a shared reader.
@@ -142,9 +132,7 @@ func DecodeWOR[T any](r *snap.Reader, weight func(T) float64) *WOR[T] {
 
 // Snapshot writes the sampler's full state (header included) to w.
 func (s *WR[T]) Snapshot(w io.Writer) error {
-	sw := snap.NewWriter(w, kindWR)
-	EncodeWR(sw, s)
-	return sw.Err()
+	return snap.Save(w, kindWR, s, EncodeWR[T])
 }
 
 // EncodeWR writes the header-less body on a shared writer.
@@ -160,15 +148,7 @@ func EncodeWR[T any](w *snap.Writer, s *WR[T]) {
 
 // RestoreWR reads a WR snapshot, re-binding the given weight function.
 func RestoreWR[T any](r io.Reader, weight func(T) float64) (*WR[T], error) {
-	sr, err := snap.NewReader(r, kindWR)
-	if err != nil {
-		return nil, err
-	}
-	s := DecodeWR(sr, weight)
-	if err := sr.Err(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return snap.Restore(r, kindWR, func(r *snap.Reader) *WR[T] { return DecodeWR(r, weight) })
 }
 
 // DecodeWR reads the header-less body on a shared reader.
@@ -203,9 +183,7 @@ func DecodeWR[T any](r *snap.Reader, weight func(T) float64) *WR[T] {
 // Snapshot writes the sampler's full state (header included) to w,
 // embedded window-size counter included.
 func (s *TSWOR[T]) Snapshot(w io.Writer) error {
-	sw := snap.NewWriter(w, kindTSWOR)
-	EncodeTSWOR(sw, s)
-	return sw.Err()
+	return snap.Save(w, kindTSWOR, s, EncodeTSWOR[T])
 }
 
 // EncodeTSWOR writes the header-less body on a shared writer.
@@ -222,15 +200,7 @@ func EncodeTSWOR[T any](w *snap.Writer, s *TSWOR[T]) {
 
 // RestoreTSWOR reads a TSWOR snapshot, re-binding the weight function.
 func RestoreTSWOR[T any](r io.Reader, weight func(T) float64) (*TSWOR[T], error) {
-	sr, err := snap.NewReader(r, kindTSWOR)
-	if err != nil {
-		return nil, err
-	}
-	s := DecodeTSWOR(sr, weight)
-	if err := sr.Err(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return snap.Restore(r, kindTSWOR, func(r *snap.Reader) *TSWOR[T] { return DecodeTSWOR(r, weight) })
 }
 
 // DecodeTSWOR reads the header-less body on a shared reader.
@@ -280,9 +250,7 @@ func decodeSizeCounter(r *snap.Reader, kind string, now int64, started bool) *eh
 
 // Snapshot writes the sampler's full state (header included) to w.
 func (s *TSWR[T]) Snapshot(w io.Writer) error {
-	sw := snap.NewWriter(w, kindTSWR)
-	EncodeTSWR(sw, s)
-	return sw.Err()
+	return snap.Save(w, kindTSWR, s, EncodeTSWR[T])
 }
 
 // EncodeTSWR writes the header-less body on a shared writer.
@@ -301,15 +269,7 @@ func EncodeTSWR[T any](w *snap.Writer, s *TSWR[T]) {
 
 // RestoreTSWR reads a TSWR snapshot, re-binding the weight function.
 func RestoreTSWR[T any](r io.Reader, weight func(T) float64) (*TSWR[T], error) {
-	sr, err := snap.NewReader(r, kindTSWR)
-	if err != nil {
-		return nil, err
-	}
-	s := DecodeTSWR(sr, weight)
-	if err := sr.Err(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return snap.Restore(r, kindTSWR, func(r *snap.Reader) *TSWR[T] { return DecodeTSWR(r, weight) })
 }
 
 // DecodeTSWR reads the header-less body on a shared reader.

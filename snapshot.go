@@ -5,6 +5,7 @@ import (
 
 	"slidingsample/internal/core"
 	"slidingsample/internal/snap"
+	"slidingsample/internal/stream"
 )
 
 // Checkpoint/restore for the public core samplers (DESIGN.md §10). A
@@ -63,13 +64,31 @@ func RestoreSequenceWOR[T any](r io.Reader) (*SequenceWOR[T], error) {
 	return s, nil
 }
 
+// encodeClock writes a timestamp adapter's monotone-clock guard, the only
+// state the adapter holds besides its core sampler.
+func encodeClock[T any](w *snap.Writer, s *tsSampler[T]) {
+	w.I64(s.last)
+	w.Bool(s.begun)
+}
+
+// restoreTimed reads a timestamp adapter's clock guard under kind, then
+// its core sampler with restore, and returns the adapter state over it.
+func restoreTimed[T any, S stream.TimedSampler[T]](r io.Reader, kind string, restore func(io.Reader) (S, error)) (tsSampler[T], S, error) {
+	ts, err := snap.Restore(r, kind, func(r *snap.Reader) tsSampler[T] {
+		return tsSampler[T]{last: r.I64(), begun: r.Bool()}
+	})
+	var inner S
+	if err == nil {
+		inner, err = restore(r)
+		ts.timed, ts.inner = inner, inner
+	}
+	return ts, inner, err
+}
+
 // Snapshot writes the sampler's full state to w, the public adapter's
 // monotone clock included.
 func (s *TimestampWR[T]) Snapshot(w io.Writer) error {
-	sw := snap.NewWriter(w, kindPublicTSWR)
-	sw.I64(s.last)
-	sw.Bool(s.begun)
-	if err := sw.Err(); err != nil {
+	if err := snap.Save(w, kindPublicTSWR, &s.tsSampler, encodeClock[T]); err != nil {
 		return err
 	}
 	return s.timed.(*core.TSWR[T]).Snapshot(w)
@@ -77,33 +96,17 @@ func (s *TimestampWR[T]) Snapshot(w io.Writer) error {
 
 // RestoreTimestampWR reads a TimestampWR snapshot written by Snapshot.
 func RestoreTimestampWR[T any](r io.Reader) (*TimestampWR[T], error) {
-	sr, err := snap.NewReader(r, kindPublicTSWR)
+	ts, inner, err := restoreTimed[T](r, kindPublicTSWR, core.RestoreTSWR[T])
 	if err != nil {
 		return nil, err
 	}
-	last := sr.I64()
-	begun := sr.Bool()
-	if err := sr.Err(); err != nil {
-		return nil, err
-	}
-	inner, err := core.RestoreTSWR[T](r)
-	if err != nil {
-		return nil, err
-	}
-	s := &TimestampWR[T]{t0: inner.Horizon()}
-	s.timed = inner
-	s.inner = inner
-	s.last, s.begun = last, begun
-	return s, nil
+	return &TimestampWR[T]{tsSampler: ts, t0: inner.Horizon()}, nil
 }
 
 // Snapshot writes the sampler's full state to w, the public adapter's
 // monotone clock included.
 func (s *TimestampWOR[T]) Snapshot(w io.Writer) error {
-	sw := snap.NewWriter(w, kindPublicTSWOR)
-	sw.I64(s.last)
-	sw.Bool(s.begun)
-	if err := sw.Err(); err != nil {
+	if err := snap.Save(w, kindPublicTSWOR, &s.tsSampler, encodeClock[T]); err != nil {
 		return err
 	}
 	return s.timed.(*core.TSWOR[T]).Snapshot(w)
@@ -111,22 +114,9 @@ func (s *TimestampWOR[T]) Snapshot(w io.Writer) error {
 
 // RestoreTimestampWOR reads a TimestampWOR snapshot written by Snapshot.
 func RestoreTimestampWOR[T any](r io.Reader) (*TimestampWOR[T], error) {
-	sr, err := snap.NewReader(r, kindPublicTSWOR)
+	ts, inner, err := restoreTimed[T](r, kindPublicTSWOR, core.RestoreTSWOR[T])
 	if err != nil {
 		return nil, err
 	}
-	last := sr.I64()
-	begun := sr.Bool()
-	if err := sr.Err(); err != nil {
-		return nil, err
-	}
-	inner, err := core.RestoreTSWOR[T](r)
-	if err != nil {
-		return nil, err
-	}
-	s := &TimestampWOR[T]{t0: inner.Horizon()}
-	s.timed = inner
-	s.inner = inner
-	s.last, s.begun = last, begun
-	return s, nil
+	return &TimestampWOR[T]{tsSampler: ts, t0: inner.Horizon()}, nil
 }
