@@ -20,7 +20,9 @@ const (
 // Weight functions are code, not state — every Restore* re-binds one.
 
 // decodeSketch reads an estimator body: the sketch size k, then the
-// embedded sampler through decode, which must hold k+1 slots.
+// embedded sampler through decode, which must hold k+1 slots. A refused
+// sampler is closed, so a sharded sketch's shard workers do not outlive
+// the refusal.
 func decodeSketch[S interface{ K() int }](r *snap.Reader, kind string, decode func(*snap.Reader) S) (k int, s S) {
 	k = r.Int()
 	if r.Err() != nil {
@@ -33,6 +35,9 @@ func decodeSketch[S interface{ K() int }](r *snap.Reader, kind string, decode fu
 	s = decode(r)
 	if r.Err() == nil && s.K() != k+1 {
 		r.Failf("%s sketch slots %d != k+1 = %d", kind, s.K(), k+1)
+		if c, ok := any(s).(interface{ Close() }); ok {
+			c.Close()
+		}
 	}
 	return k, s
 }

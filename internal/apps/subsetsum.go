@@ -192,6 +192,9 @@ func (e *SubsetSumTS[T]) K() int { return e.k }
 // Count returns the number of arrivals.
 func (e *SubsetSumTS[T]) Count() uint64 { return e.s.Count() }
 
+// Clock returns the sketch sampler's clock.
+func (e *SubsetSumTS[T]) Clock() (int64, bool) { return e.s.Clock() }
+
 // Words and MaxWords implement stream.MemoryReporter (the embedded size
 // counter is included — DESIGN.md §6).
 func (e *SubsetSumTS[T]) Words() int    { return 1 + e.s.Words() }

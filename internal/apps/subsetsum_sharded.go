@@ -113,6 +113,9 @@ func (e *ShardedSubsetSumTS[T]) G() int { return e.s.G() }
 // Count returns the number of arrivals.
 func (e *ShardedSubsetSumTS[T]) Count() uint64 { return e.s.Count() }
 
+// Clock returns the sketch sampler's clock. Call it after a Barrier.
+func (e *ShardedSubsetSumTS[T]) Clock() (int64, bool) { return e.s.Clock() }
+
 // Words and MaxWords implement stream.MemoryReporter (per-shard skybands,
 // embedded counters and the dispatcher's weight oracles included).
 func (e *ShardedSubsetSumTS[T]) Words() int    { return 1 + e.s.Words() }

@@ -71,6 +71,15 @@ func (f *FullWindow[T]) ObserveBatch(batch []stream.Element[T]) { stream.Observe
 // Count returns the number of arrivals.
 func (f *FullWindow[T]) Count() uint64 { return f.n }
 
+// Clock returns a timestamp window's clock (see window.TSBuffer.Clock); a
+// sequence window has none and reports false.
+func (f *FullWindow[T]) Clock() (int64, bool) {
+	if f.tsb == nil {
+		return 0, false
+	}
+	return f.tsb.Clock()
+}
+
 // K returns the Bind-configured default sample size (0 before Bind).
 func (f *FullWindow[T]) K() int { return f.k }
 

@@ -135,6 +135,9 @@ func (p *Priority[T]) K() int { return p.k }
 // Count returns the number of arrivals.
 func (p *Priority[T]) Count() uint64 { return p.count }
 
+// Clock returns the latest arrival time and whether there was one.
+func (p *Priority[T]) Clock() (int64, bool) { return p.now, p.count > 0 }
+
 // RetainedLens returns the retained-set size of each copy (diagnostics for
 // the E3/E4 tables).
 func (p *Priority[T]) RetainedLens() []int {

@@ -126,6 +126,9 @@ func (s *Skyband[T]) K() int { return s.k }
 // Count returns the number of arrivals.
 func (s *Skyband[T]) Count() uint64 { return s.count }
 
+// Clock returns the latest arrival time and whether there was one.
+func (s *Skyband[T]) Clock() (int64, bool) { return s.now, s.count > 0 }
+
 // Retained returns the current retained-set size (diagnostics).
 func (s *Skyband[T]) Retained() int { return len(s.nodes) }
 

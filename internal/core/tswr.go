@@ -234,6 +234,10 @@ func (s *TSWR[T]) K() int { return s.k }
 // Horizon returns t0.
 func (s *TSWR[T]) Horizon() int64 { return s.t0 }
 
+// Clock returns the latest arrival or query time and whether there was
+// one; an earlier arrival panics.
+func (s *TSWR[T]) Clock() (int64, bool) { return s.now, s.started }
+
 // Count returns the number of elements observed (including any skipped as
 // already-expired by the delayed feed of Theorem 4.4).
 func (s *TSWR[T]) Count() uint64 { return s.count }

@@ -645,6 +645,19 @@ func (t *tsDispatch[T]) clockFor(now int64) int64 {
 	return now
 }
 
+// newestClock returns the newest of a timestamp dispatch's clock (now,
+// begun) and its shards' clocks, and whether any is set. The dispatch
+// clock moves on arrivals only, a shard's on its arrivals and on queries,
+// and an arrival earlier than either panics.
+func newestClock[S interface{ Clock() (int64, bool) }](now int64, begun bool, shards []S) (int64, bool) {
+	for _, sh := range shards {
+		if t, ok := sh.Clock(); ok && (!begun || t > now) {
+			now, begun = t, true
+		}
+	}
+	return now, begun
+}
+
 func (t *tsDispatch[T]) words(peak bool) int {
 	// Dispatcher + shards + the estimator + the clock scalar + the
 	// persistent per-shard size cache (G words once warmed).
@@ -773,6 +786,10 @@ func (s *ShardedTSWR[T]) Sample() ([]stream.Element[T], bool) {
 func (s *ShardedTSWR[T]) K() int         { return s.ts.k }
 func (s *ShardedTSWR[T]) Horizon() int64 { return s.ts.t0 }
 func (s *ShardedTSWR[T]) Count() uint64  { return s.ts.d.count }
+
+// Clock returns the newest clock of the dispatch and its shards (see
+// newestClock). Call it after a Barrier.
+func (s *ShardedTSWR[T]) Clock() (int64, bool) { return newestClock(s.ts.now, s.ts.begun, s.shards) }
 
 // Words and MaxWords implement stream.MemoryReporter.
 func (s *ShardedTSWR[T]) Words() int    { return s.ts.words(false) }
@@ -915,6 +932,10 @@ func (s *ShardedTSWOR[T]) Sample() ([]stream.Element[T], bool) {
 func (s *ShardedTSWOR[T]) K() int         { return s.ts.k }
 func (s *ShardedTSWOR[T]) Horizon() int64 { return s.ts.t0 }
 func (s *ShardedTSWOR[T]) Count() uint64  { return s.ts.d.count }
+
+// Clock returns the newest clock of the dispatch and its shards (see
+// newestClock). Call it after a Barrier.
+func (s *ShardedTSWOR[T]) Clock() (int64, bool) { return newestClock(s.ts.now, s.ts.begun, s.shards) }
 
 // Words and MaxWords implement stream.MemoryReporter.
 func (s *ShardedTSWOR[T]) Words() int    { return s.ts.words(false) }

@@ -529,6 +529,12 @@ func (s *ShardedWeightedTSWOR[T]) G() int         { return s.w.g }
 func (s *ShardedWeightedTSWOR[T]) Horizon() int64 { return s.w.t0 }
 func (s *ShardedWeightedTSWOR[T]) Count() uint64  { return s.w.d.count }
 
+// Clock returns the newest clock of the dispatch and its shards (see
+// newestClock). Call it after a Barrier.
+func (s *ShardedWeightedTSWOR[T]) Clock() (int64, bool) {
+	return newestClock(s.w.now, s.w.begun, s.shards)
+}
+
 // Words and MaxWords implement stream.MemoryReporter.
 func (s *ShardedWeightedTSWOR[T]) Words() int    { return s.w.words(false) }
 func (s *ShardedWeightedTSWOR[T]) MaxWords() int { return s.w.words(true) }
@@ -631,6 +637,12 @@ func (s *ShardedWeightedTSWR[T]) K() int         { return s.w.k }
 func (s *ShardedWeightedTSWR[T]) G() int         { return s.w.g }
 func (s *ShardedWeightedTSWR[T]) Horizon() int64 { return s.w.t0 }
 func (s *ShardedWeightedTSWR[T]) Count() uint64  { return s.w.d.count }
+
+// Clock returns the newest clock of the dispatch and its shards (see
+// newestClock). Call it after a Barrier.
+func (s *ShardedWeightedTSWR[T]) Clock() (int64, bool) {
+	return newestClock(s.w.now, s.w.begun, s.shards)
+}
 
 // Words and MaxWords implement stream.MemoryReporter.
 func (s *ShardedWeightedTSWR[T]) Words() int    { return s.w.words(false) }

@@ -97,36 +97,49 @@ func RestoreInstance(r io.Reader) (*Instance, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	spec, built, err := substrate.Restore(r)
+	// The serving caps vet the spec before its body is read, so an over-cap
+	// snapshot allocates nothing and starts no shard worker.
+	spec, built, err := substrate.Restore(r, validateServable)
 	if err != nil {
 		return nil, 0, err
 	}
-	closeBuilt := func() {
-		if c, ok := built.(interface{ Close() }); ok {
-			c.Close()
+	c, err := restoredCaps(h, built)
+	if err != nil {
+		if cl, ok := built.(interface{ Close() }); ok {
+			cl.Close()
 		}
+		return nil, 0, err
 	}
-	if err := validateServable(spec); err != nil {
-		closeBuilt()
-		return nil, 0, fmt.Errorf("%w: %v", snap.ErrFormat, err)
-	}
-	ing, ok := built.(ingester)
-	if !ok {
-		closeBuilt()
-		return nil, 0, snap.Errorf("serve: restored substrate %T is not servable", built)
-	}
-	// Every admitted element was applied before the snapshot cut, so the
-	// substrate's own count must match the admission counter exactly; a
-	// mismatch means a spliced snapshot.
-	if c := ing.Count(); c != h.events {
-		closeBuilt()
-		return nil, 0, snap.Errorf("serve: snapshot admitted %d events but the substrate counted %d", h.events, c)
-	}
-	inst := newInstance(spec, built)
+	inst := newInstance(spec, built, c)
 	inst.qmu.Lock()
 	inst.events, inst.last, inst.begun = h.events, h.last, h.begun
 	inst.qmu.Unlock()
 	return inst, h.walSkip, nil
+}
+
+// restoredCaps wires a restored substrate's capabilities and refuses one
+// the serve header does not describe.
+func restoredCaps(h instanceHeader, built any) (caps, error) {
+	if _, ok := built.(ingester); !ok {
+		return caps{}, snap.Errorf("serve: restored substrate %T is not servable", built)
+	}
+	c := wireCaps(built)
+	// Every admitted element was applied before the snapshot cut, so the
+	// substrate's own count must match the admission counter exactly; a
+	// mismatch means a spliced snapshot.
+	if n := c.ing.Count(); n != h.events {
+		return caps{}, snap.Errorf("serve: snapshot admitted %d events but the substrate counted %d", h.events, n)
+	}
+	// Every time a substrate sees, arrival or clock-advancing query, is
+	// admitted through the serve clock first, so a substrate clock ahead of
+	// it is a spliced snapshot: the serve clock would admit an arrival the
+	// substrate panics on.
+	if c.clock != nil {
+		if now, started := c.clock(); started && (!h.begun || now > h.last) {
+			return caps{}, snap.Errorf("serve: substrate clock %d is ahead of the serve clock %d (begun %v)", now, h.last, h.begun)
+		}
+	}
+	return c, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@ package serve
 
 // Restore hardening battery: arbitrary, truncated, corrupted, and
 // version-bumped snapshot bytes must make RestoreInstance return an
-// error — never panic, never hang, never leak a dispatcher goroutine.
+// error — never panic, never hang, never leak a dispatcher goroutine (the
+// truncation and corruption sweeps count goroutines before and after).
 // The seed corpus is a set of REAL snapshots (one per registrable
 // substrate, fixed seeds) so the fuzzer starts inside every kind's format
 // and mutates outward. Run the corpus with plain `go test`, or explore:
@@ -17,9 +18,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"slidingsample/internal/snap"
+	"slidingsample/internal/substrate"
 )
 
 // fuzzSpecs has one row per registrable substrate (substrateSweep), each
@@ -152,12 +158,30 @@ func FuzzRestoreInstance(f *testing.F) {
 	})
 }
 
+// awaitGoroutines waits, for at most five seconds, until no more
+// goroutines run than base, and fails the test if some never exit: every
+// restore in a sweep is refused or closed, so each shard worker and
+// applier it started must stop.
+func awaitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	n := runtime.NumGoroutine()
+	for i := 0; i < 500 && n > base; i++ {
+		time.Sleep(10 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	if n > base {
+		t.Fatalf("%d goroutines still running after the sweep, %d before it", n, base)
+	}
+}
+
 // TestRestoreTruncated checks that every strict prefix of a valid
 // snapshot errors: the codec reads exactly what the encoder wrote, so a
 // byte missing anywhere must surface before the instance is built.
 func TestRestoreTruncated(t *testing.T) {
 	for _, spec := range fuzzSpecs() {
 		t.Run(spec.Mode+"/"+spec.Sampler, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			defer awaitGoroutines(t, base)
 			data := seedSnapshot(t, spec)
 			step := 1
 			if len(data) > 2048 {
@@ -180,6 +204,8 @@ func TestRestoreTruncated(t *testing.T) {
 func TestRestoreCorrupted(t *testing.T) {
 	for _, spec := range fuzzSpecs() {
 		t.Run(spec.Mode+"/"+spec.Sampler, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			defer awaitGoroutines(t, base)
 			data := seedSnapshot(t, spec)
 			step := 1
 			if len(data) > 2048 {
@@ -223,5 +249,88 @@ func TestRestoreKindMismatch(t *testing.T) {
 	}
 	if !errors.Is(err, snap.ErrFormat) {
 		t.Fatalf("kind mismatch error = %v, want snap.ErrFormat", err)
+	}
+}
+
+// noBody stands in for a substrate whose snapshot body is missing.
+type noBody struct{}
+
+func (noBody) Snapshot(io.Writer) error { return nil }
+
+// TestRestoreChecksCapsBeforeBody feeds a serve header and an over-cap
+// spec with no substrate body after it. The serving caps must refuse the
+// spec before the body is read; a decoder that got to the body would fail
+// on EOF instead, after allocating what the spec asks for (and, once the
+// body is there, starting G shard workers).
+func TestRestoreChecksCapsBeforeBody(t *testing.T) {
+	for _, spec := range []Spec{
+		{Mode: "ts", Sampler: "sharded-weighted-ts-wor", T0: 16, K: 4096, G: 128, Seed: 1},
+		{Mode: "seq", Sampler: "wor", N: 64, K: MaxK + 1, Seed: 1},
+		{Mode: "ts", Sampler: "sharded-wr", T0: 16, K: 1, G: MaxG + 1, Seed: 1},
+		{Mode: "seq", Sampler: "fullwindow", N: MaxFullWindowN + 1, K: 1, Seed: 1},
+	} {
+		capErr := validateServable(spec)
+		if capErr == nil {
+			t.Fatalf("%+v is within the serving caps", spec)
+		}
+		var buf bytes.Buffer
+		if err := snap.Save(&buf, kindServeInstance, instanceHeader{}, encodeInstanceHeader); err != nil {
+			t.Fatal(err)
+		}
+		if err := substrate.Snapshot(&buf, spec, noBody{}); err != nil {
+			t.Fatal(err)
+		}
+		inst, _, err := RestoreInstance(&buf)
+		if err == nil {
+			inst.Close()
+			t.Fatalf("%s/%s: restore of an over-cap spec succeeded", spec.Mode, spec.Sampler)
+		}
+		if !errors.Is(err, snap.ErrFormat) || !strings.Contains(err.Error(), capErr.Error()) {
+			t.Errorf("%s/%s: restore error %q, want the cap error %q", spec.Mode, spec.Sampler, err, capErr)
+		}
+	}
+}
+
+// TestRestoreRefusesServeClockBehind rewrites the serve header of a real
+// snapshot of every timestamp substrate so that its stream clock is behind
+// the substrate's: lowered by 10, or never started. The serve layer would
+// then admit arrivals earlier than the substrate has seen, which most
+// substrates panic on (in the applier or a shard worker, so the process
+// dies) and the baselines silently take out of order. Restore must refuse.
+func TestRestoreRefusesServeClockBehind(t *testing.T) {
+	for _, spec := range fuzzSpecs() {
+		if spec.Mode != "ts" {
+			continue
+		}
+		t.Run(spec.Sampler, func(t *testing.T) {
+			data := seedSnapshot(t, spec)
+			for _, tc := range []struct {
+				name  string
+				lower func(h *instanceHeader)
+			}{
+				{"last-10", func(h *instanceHeader) { h.last -= 10 }},
+				{"unbegun", func(h *instanceHeader) { h.begun = false }},
+			} {
+				r := bytes.NewReader(data)
+				h, err := snap.Restore(r, kindServeInstance, decodeInstanceHeader)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tc.lower(&h)
+				var buf bytes.Buffer
+				if err := snap.Save(&buf, kindServeInstance, h, encodeInstanceHeader); err != nil {
+					t.Fatal(err)
+				}
+				buf.Write(data[len(data)-r.Len():])
+				inst, _, err := RestoreInstance(&buf)
+				if err == nil {
+					inst.Close()
+					t.Fatalf("%s: restore with the serve clock behind the substrate's succeeded", tc.name)
+				}
+				if !errors.Is(err, snap.ErrFormat) {
+					t.Fatalf("%s: restore error = %v, want snap.ErrFormat", tc.name, err)
+				}
+			}
+		})
 	}
 }

@@ -52,6 +52,7 @@ type caps struct {
 	est      func(pred func(string) bool) (float64, bool)   // subset sum, sequence windows
 	barrier  func()
 	closer   func()
+	clock    func() (int64, bool) // timestamp substrates: latest time seen
 }
 
 // wireCaps wires a substrate's capabilities by type assertion.
@@ -92,6 +93,9 @@ func wireCaps(built any) caps {
 	}
 	if s, ok := built.(interface{ Close() }); ok {
 		c.closer = s.Close
+	}
+	if s, ok := built.(interface{ Clock() (int64, bool) }); ok {
+		c.clock = s.Clock
 	}
 	return c
 }
@@ -173,10 +177,10 @@ type Instance struct {
 	walBase uint64
 }
 
-// newInstance wires the substrate's capabilities (wireCaps) and starts the
-// instance's applier goroutine.
-func newInstance(spec Spec, built any) *Instance {
-	inst := &Instance{spec: spec, caps: wireCaps(built), built: built}
+// newInstance takes the substrate with its capabilities (wireCaps) and
+// starts the instance's applier goroutine.
+func newInstance(spec Spec, built any, c caps) *Instance {
+	inst := &Instance{spec: spec, caps: c, built: built}
 	inst.workCond = sync.NewCond(&inst.qmu)
 	inst.appliedCond = sync.NewCond(&inst.qmu)
 	inst.queueCap = MaxQueuedIngestEvents

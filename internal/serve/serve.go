@@ -172,7 +172,7 @@ func Build(spec Spec) (*Instance, error) {
 	}
 	resolved := spec
 	resolved.Seed = seed
-	return newInstance(resolved, built), nil
+	return newInstance(resolved, built, wireCaps(built)), nil
 }
 
 // ingester is the capability every registrable substrate has: batched

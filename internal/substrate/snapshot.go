@@ -69,13 +69,23 @@ func Snapshot(w io.Writer, spec Spec, built any) error {
 // rebuilds the sampler mid-stream: the restored instance resumes
 // bit-identically to the one that was snapshotted. It returns the spec
 // alongside the substrate so callers can re-register capabilities.
-func Restore(r io.Reader) (Spec, any, error) {
+//
+// check, when non-nil, vets the decoded spec before any of the body is
+// read (a server applies its caps there, so an over-cap spec allocates
+// and starts nothing); its refusal wraps snap.ErrFormat. A substrate
+// refused after its body decoded is closed before Restore returns.
+func Restore(r io.Reader, check func(Spec) error) (Spec, any, error) {
 	spec, err := snap.Restore(r, kindInstance, decodeSpec)
 	if err != nil {
 		return Spec{}, nil, err
 	}
 	if err := spec.Validate(); err != nil {
 		return Spec{}, nil, fmt.Errorf("%w: %v", snap.ErrFormat, err)
+	}
+	if check != nil {
+		if err := check(spec); err != nil {
+			return Spec{}, nil, fmt.Errorf("%w: %v", snap.ErrFormat, err)
+		}
 	}
 	weight, err := WeightFunc(spec.Weight)
 	if err != nil {
@@ -148,6 +158,9 @@ func Restore(r io.Reader) (Spec, any, error) {
 	// Every substrate reports its sample-size parameter; a spec/body
 	// mismatch means a spliced or tampered snapshot.
 	if kg, ok := built.(interface{ K() int }); ok && kg.K() != spec.K {
+		if c, ok := built.(interface{ Close() }); ok {
+			c.Close()
+		}
 		return Spec{}, nil, snap.Errorf("substrate: snapshot k %d does not match spec k %d", kg.K(), spec.K)
 	}
 	return spec, built, nil

@@ -266,6 +266,10 @@ func (s *TSWOR[T]) K() int { return s.k }
 // Horizon returns t0.
 func (s *TSWOR[T]) Horizon() int64 { return s.t0 }
 
+// Clock returns the latest arrival or query time and whether there was
+// one; an earlier arrival panics.
+func (s *TSWOR[T]) Clock() (int64, bool) { return s.now, s.started }
+
 // Count returns the number of elements observed.
 func (s *TSWOR[T]) Count() uint64 { return s.count }
 
@@ -458,6 +462,10 @@ func (s *TSWR[T]) K() int { return s.k }
 
 // Horizon returns t0.
 func (s *TSWR[T]) Horizon() int64 { return s.t0 }
+
+// Clock returns the latest arrival or query time and whether there was
+// one; an earlier arrival panics.
+func (s *TSWR[T]) Clock() (int64, bool) { return s.now, s.started }
 
 // Count returns the number of elements observed.
 func (s *TSWR[T]) Count() uint64 { return s.count }

@@ -23,7 +23,7 @@ func TestBuffersConcurrentReads(t *testing.T) {
 
 	wantSeq := sb.Contents()
 	wantTS := tb.Contents()
-	wantNow := tb.Now()
+	wantNow, _ := tb.Clock()
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -46,9 +46,9 @@ func TestBuffersConcurrentReads(t *testing.T) {
 						return
 					}
 				}
-				if tb.Len() != len(wantTS) || tb.Now() != wantNow {
+				if now, _ := tb.Clock(); tb.Len() != len(wantTS) || now != wantNow {
 					t.Errorf("TSBuffer read drifted: Len=%d Now=%d, want %d, %d",
-						tb.Len(), tb.Now(), len(wantTS), wantNow)
+						tb.Len(), now, len(wantTS), wantNow)
 					return
 				}
 				ts := tb.Contents()

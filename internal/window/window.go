@@ -177,5 +177,6 @@ func (b *TSBuffer[T]) Len() int { return len(b.buf) }
 // The returned slice aliases internal storage; callers must not mutate it.
 func (b *TSBuffer[T]) Contents() []stream.Element[T] { return b.buf }
 
-// Now returns the current clock.
-func (b *TSBuffer[T]) Now() int64 { return b.now }
+// Clock returns the current clock and whether an element has arrived; an
+// earlier arrival panics.
+func (b *TSBuffer[T]) Clock() (int64, bool) { return b.now, b.any }
