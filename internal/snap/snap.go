@@ -129,9 +129,6 @@ func newWriter(w io.Writer, kind string) *Writer {
 	return sw
 }
 
-// Err returns the first error encountered, if any.
-func (w *Writer) Err() error { return w.err }
-
 // U64 writes a little-endian uint64.
 func (w *Writer) U64(v uint64) {
 	if w.err != nil {

@@ -24,7 +24,7 @@ func TestRoundTripPrimitives(t *testing.T) {
 	w.String("hello, snapshot")
 	w.Bytes(nil)
 	w.Len(3)
-	if err := w.Err(); err != nil {
+	if err := w.err; err != nil {
 		t.Fatal(err)
 	}
 
@@ -77,7 +77,7 @@ func TestRoundTripTaggedValues(t *testing.T) {
 	rng.Uint64()
 	WriteRand(w, rng)
 	WriteRand(w, nil)
-	if err := w.Err(); err != nil {
+	if err := w.err; err != nil {
 		t.Fatal(err)
 	}
 
@@ -110,7 +110,7 @@ func TestHeaderMismatch(t *testing.T) {
 	var buf bytes.Buffer
 	w := newWriter(&buf, "test.A")
 	w.U64(1)
-	if err := w.Err(); err != nil {
+	if err := w.err; err != nil {
 		t.Fatal(err)
 	}
 	if _, err := newReader(bytes.NewReader(buf.Bytes()), "test.B"); !errors.Is(err, ErrFormat) {
@@ -132,7 +132,7 @@ func TestStickyError(t *testing.T) {
 	var buf bytes.Buffer
 	w := newWriter(&buf, "test.Sticky")
 	w.U64(1)
-	if err := w.Err(); err != nil {
+	if err := w.err; err != nil {
 		t.Fatal(err)
 	}
 	r, err := newReader(bytes.NewReader(buf.Bytes()), "test.Sticky")
@@ -158,7 +158,7 @@ func TestLimits(t *testing.T) {
 	w := newWriter(&buf, "test.Limits")
 	w.U64(uint64(MaxLen) + 1)
 	w.U64(uint64(MaxString) + 1)
-	if err := w.Err(); err != nil {
+	if err := w.err; err != nil {
 		t.Fatal(err)
 	}
 	r, err := newReader(bytes.NewReader(buf.Bytes()), "test.Limits")
@@ -209,10 +209,10 @@ func TestNestedSnapshots(t *testing.T) {
 	inner := newWriter(&buf, "test.Inner")
 	inner.String("inner body")
 	outer.U64(2)
-	if err := outer.Err(); err != nil {
+	if err := outer.err; err != nil {
 		t.Fatal(err)
 	}
-	if err := inner.Err(); err != nil {
+	if err := inner.err; err != nil {
 		t.Fatal(err)
 	}
 

@@ -70,10 +70,10 @@ func Snapshot(w io.Writer, spec Spec, built any) error {
 // bit-identically to the one that was snapshotted. It returns the spec
 // alongside the substrate so callers can re-register capabilities.
 //
-// check, when non-nil, vets the decoded spec before any of the body is
-// read (a server applies its caps there, so an over-cap spec allocates
-// and starts nothing); its refusal wraps snap.ErrFormat. A substrate
-// refused after its body decoded is closed before Restore returns.
+// check vets the decoded spec before any of the body is read (a server
+// applies its caps there, so an over-cap spec allocates and starts
+// nothing); its refusal wraps snap.ErrFormat. A substrate refused after
+// its body decoded is closed before Restore returns.
 func Restore(r io.Reader, check func(Spec) error) (Spec, any, error) {
 	spec, err := snap.Restore(r, kindInstance, decodeSpec)
 	if err != nil {
@@ -82,10 +82,8 @@ func Restore(r io.Reader, check func(Spec) error) (Spec, any, error) {
 	if err := spec.Validate(); err != nil {
 		return Spec{}, nil, fmt.Errorf("%w: %v", snap.ErrFormat, err)
 	}
-	if check != nil {
-		if err := check(spec); err != nil {
-			return Spec{}, nil, fmt.Errorf("%w: %v", snap.ErrFormat, err)
-		}
+	if err := check(spec); err != nil {
+		return Spec{}, nil, fmt.Errorf("%w: %v", snap.ErrFormat, err)
 	}
 	weight, err := WeightFunc(spec.Weight)
 	if err != nil {
