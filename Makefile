@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet lint lint-json lint-fix bench-quick bench-batch bench-smoke bench-tenants bench-ladder swbench-quick smoke-e18 smoke-e19 serve-smoke recover-smoke swperf-smoke fuzz-smoke check ci
+.PHONY: all build test test-race vet lint lint-json lint-fix bench-quick bench-batch bench-smoke bench-ladder swbench-quick smoke-e18 smoke-e19 serve-smoke recover-smoke swperf-smoke fuzz-smoke check ci
 
 all: build
 
@@ -25,9 +25,10 @@ test:
 #   ./internal/weighted    single-writer substrates, but the rng-free-query
 #                          contract means post-ingest reads are concurrent
 #                          -safe; TestWORConcurrentReadOracle pins that
-#   ./internal/window      exact materializers: harness code reads them
-#                          from checker goroutines after ingest stops;
-#                          TestBuffersConcurrentReads pins the read paths
+#   ./internal/window      exact materializers: serve reads a fullwindow
+#                          substrate's footprint under its read lock from
+#                          many goroutines; TestBuffersConcurrentReads
+#                          pins the read paths
 #   ./internal/slab        sync.Pool-backed slice recycling shared by every
 #                          tenant ingest request; TestSlicePoolConcurrent
 #                          hammers Get/Put from many goroutines
@@ -130,20 +131,13 @@ bench-batch:
 swbench-quick:
 	$(GO) run ./cmd/swbench -quick
 
-# Serving-path load smoke: a tiny hermetic swload run (the BENCH_5 harness
-# end to end — in-process HTTP server, concurrent ingest, mixed read/write
-# wave) plus the key batched-ingest and shard-query benchmarks at one
-# iteration each. Verifies the perf machinery runs, not that it is fast.
+# Benchmark smoke: the key batched-ingest, HTTP and shard-query
+# benchmarks, then the tenant ingest/footprint benchmarks with -short
+# (skips the 1M population), one iteration each. Verifies the perf
+# machinery runs, not that it is fast; swperf-smoke drives the serving
+# routes themselves under load.
 bench-smoke:
-	$(GO) run ./cmd/swload -clients 2 -batches 4 -batch-size 25 -queries 10 > /dev/null
 	$(GO) test -run xxx -bench 'BenchmarkHTTP|BenchmarkBatch_|SampleAt' -benchtime 1x ./internal/serve/ .
-
-# Multi-tenant fabric smoke: a tiny hermetic swload tenant wave (fabric
-# registration, zipf-skewed /tenant/{fabric}/{id}/ traffic) plus the tenant
-# ingest/footprint benchmarks at one iteration with -short (skips the 1M
-# population). Verifies the BENCH_6 machinery runs, not that it is fast.
-bench-tenants:
-	$(GO) run ./cmd/swload -tenants 100 -tenant-skew 1.1 -clients 2 -batches 4 -batch-size 25 -queries 10 > /dev/null
 	$(GO) test -run xxx -bench 'BenchmarkTenant' -benchtime 1x -short ./internal/serve/
 
 # The benchmark's per-layer ladder (BENCHMARK.json, cmd/swperf --trace 1)
@@ -162,6 +156,6 @@ bench-ladder:
 
 # lint runs right after vet/build so invariant violations fail the gate
 # before the slower race and smoke stages.
-check: vet build lint test test-race smoke-e18 smoke-e19 serve-smoke recover-smoke bench-smoke bench-tenants swperf-smoke fuzz-smoke
+check: vet build lint test test-race smoke-e18 smoke-e19 serve-smoke recover-smoke bench-smoke swperf-smoke fuzz-smoke
 
 ci: check

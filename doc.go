@@ -106,8 +106,8 @@
 // are deterministic per seed, timestamp monotonicity is enforced as 4xx
 // statuses instead of the library's errors/panics, and shutdown drains
 // every sampler's dispatcher barrier before stopping its shards. See
-// DESIGN.md §7, BENCH_5.json (historical cmd/swload rows) and
-// `go doc ./cmd/swserve`.
+// DESIGN.md §7, BENCH_5.json (historical rows from a since-retired
+// closed-loop harness) and `go doc ./cmd/swserve`.
 //
 // Because one sampler is only O(k·log n) words, the serving layer also
 // scales the other axis: a multi-tenant FABRIC (swserve -fabric) keeps an

@@ -264,8 +264,20 @@ func EncodeTSWR[T any](w *snap.Writer, s *TSWR[T]) {
 	encodeDecomp(w, s.d)
 }
 
-// DecodeTSWR reads the header-less body on a shared reader.
+// DecodeTSWR reads the header-less body on a shared reader. Observe
+// appends index count next, so a non-empty decomposition must end there.
 func DecodeTSWR[T any](r *snap.Reader) *TSWR[T] {
+	s := decodeTSWR[T](r)
+	if r.Err() == nil && !s.d.Empty() && s.d.End() != s.count {
+		r.Failf("core.TSWR decomposition ends at %d, count %d", s.d.End(), s.count)
+	}
+	return s
+}
+
+// decodeTSWR reads a TSWR body without relating it to its count: a
+// TSWOR's delayed instances are fed through observeAt, which leaves their
+// own count at 0, so DecodeTSWOR checks them against its count instead.
+func decodeTSWR[T any](r *snap.Reader) *TSWR[T] {
 	s := &TSWR[T]{}
 	s.t0 = r.I64()
 	s.k = r.Int()
@@ -354,17 +366,59 @@ func DecodeTSWOR[T any](r *snap.Reader) *TSWOR[T] {
 	}
 	s.w = window.Timestamp{T0: s.t0}
 	s.insts = make([]*TSWR[T], s.k)
+	// Each delayed instance is a 1-sample over the same horizon whose
+	// clock never runs ahead of the TSWOR's.
 	for i := 0; i < s.k && r.Err() == nil; i++ {
-		s.insts[i] = DecodeTSWR[T](r)
+		inst := decodeTSWR[T](r)
+		s.insts[i] = inst
+		switch {
+		case r.Err() != nil:
+		case inst.k != 1 || inst.t0 != s.t0:
+			r.Failf("core.TSWOR instance %d with t0 %d, k %d", i, inst.t0, inst.k)
+		case inst.started && (!s.started || inst.now > s.now):
+			r.Failf("core.TSWOR instance %d clock %d is ahead of its clock %d (started %v)", i, inst.now, s.now, s.started)
+		}
 	}
 	if r.Err() != nil {
 		return s
 	}
 	s.tail = make([]stream.Element[T], s.k)
 	s.tailLen = r.Len(s.k)
+	if r.Err() == nil && uint64(s.tailLen) != min(s.count, uint64(s.k)) {
+		r.Failf("core.TSWOR ring holds %d, count %d", s.tailLen, s.count)
+	}
 	for i := 0; i < s.tailLen && r.Err() == nil; i++ {
-		s.tail[i] = snap.ReadElement[T](r)
+		e := snap.ReadElement[T](r)
+		s.tail[i] = e
+		switch {
+		case r.Err() != nil:
+		case e.Index != s.count-uint64(s.tailLen-i):
+			r.Failf("core.TSWOR ring index %d, want %d", e.Index, s.count-uint64(s.tailLen-i))
+		case !s.started || e.TS > s.now || (i > 0 && e.TS < s.tail[i-1].TS):
+			r.Failf("core.TSWOR ring timestamp %d out of order or past clock %d", e.TS, s.now)
+		}
 	}
 	s.tailPos = s.tailLen % s.k
+	// Instance i was last fed ring element i from the newest, if there is
+	// one, and Append left it as the instance's last bucket, a singleton.
+	// Only that element's expiry can have emptied the instance since.
+	for i := 0; i < s.k && r.Err() == nil; i++ {
+		d := s.insts[i].d
+		switch {
+		case i >= s.tailLen:
+			if !d.Empty() {
+				r.Failf("core.TSWOR instance %d is not empty at count %d", i, s.count)
+			}
+		case d.Empty():
+			if s.w.Active(s.tailFromEnd(i).TS, s.now) {
+				r.Failf("core.TSWOR instance %d empty while its last arrival is active", i)
+			}
+		default:
+			last, e := d.Last(), s.tailFromEnd(i)
+			if last.X != e.Index || last.Y != e.Index+1 || last.First.Index != e.Index || last.First.TS != e.TS {
+				r.Failf("core.TSWOR instance %d last bucket [%d,%d) is not ring element %d", i, last.X, last.Y, e.Index)
+			}
+		}
+	}
 	return s
 }

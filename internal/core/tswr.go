@@ -242,9 +242,6 @@ func (s *TSWR[T]) Clock() (int64, bool) { return s.now, s.started }
 // already-expired by the delayed feed of Theorem 4.4).
 func (s *TSWR[T]) Count() uint64 { return s.count }
 
-// Now returns the sampler's current clock.
-func (s *TSWR[T]) Now() int64 { return s.now }
-
 // ForEachStored implements stream.SlotVisitor: visits the R and Q slots of
 // the straddling bucket and of every decomposition bucket.
 func (s *TSWR[T]) ForEachStored(f func(*stream.Stored[T])) {

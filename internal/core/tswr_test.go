@@ -209,13 +209,14 @@ func TestTSWRStateTransitions(t *testing.T) {
 	if s.straddle == nil {
 		t.Fatal("no straddle after partial expiry (case 2c)")
 	}
-	if (window.Timestamp{T0: t0}).Active(s.straddle.First.TS, s.Now()) {
+	now, _ := s.Clock()
+	if (window.Timestamp{T0: t0}).Active(s.straddle.First.TS, now) {
 		t.Fatal("straddle first element must be expired")
 	}
 	if s.d.Empty() {
 		t.Fatal("suffix decomposition empty in case 2")
 	}
-	if !(window.Timestamp{T0: t0}).Active(s.d.At(0).First.TS, s.Now()) {
+	if !(window.Timestamp{T0: t0}).Active(s.d.At(0).First.TS, now) {
 		t.Fatal("p_z must be active in case 2")
 	}
 	if s.straddle.Width() > s.d.TotalWidth() {
@@ -259,16 +260,17 @@ func TestTSWRInvariantsUnderRandomRuns(t *testing.T) {
 				return
 			}
 			d := s.d
+			now, _ := s.Clock()
 			for i := 1; i < d.Len(); i++ {
 				if d.At(i).X != d.At(i-1).Y {
 					t.Fatalf("seed %d step %d: decomposition gap", seed, step)
 				}
 			}
-			if !w.Active(d.Last().First.TS, s.Now()) {
+			if !w.Active(d.Last().First.TS, now) {
 				t.Fatalf("seed %d step %d: newest element expired but structure kept", seed, step)
 			}
 			if s.straddle != nil {
-				if w.Active(s.straddle.First.TS, s.Now()) {
+				if w.Active(s.straddle.First.TS, now) {
 					t.Fatalf("seed %d step %d: straddle first active", seed, step)
 				}
 				if s.straddle.Y != d.At(0).X {
@@ -281,7 +283,7 @@ func TestTSWRInvariantsUnderRandomRuns(t *testing.T) {
 				// Case 1: the head bucket's first element must be active
 				// only if nothing before it could be active; weaker check:
 				// head first is the oldest retained and must be active.
-				if !w.Active(d.At(0).First.TS, s.Now()) {
+				if !w.Active(d.At(0).First.TS, now) {
 					t.Fatalf("seed %d step %d: case-1 head expired without straddle", seed, step)
 				}
 			}
@@ -390,8 +392,8 @@ func TestTSWRQueryClockNeverRewinds(t *testing.T) {
 	if _, ok := s.SampleAt(6); ok {
 		t.Fatal("query at an earlier time resurrected expired elements")
 	}
-	if s.Now() != 20 {
-		t.Fatalf("clock rewound to %d", s.Now())
+	if now, _ := s.Clock(); now != 20 {
+		t.Fatalf("clock rewound to %d", now)
 	}
 }
 

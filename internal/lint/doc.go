@@ -22,7 +22,7 @@
 //     the paper's uniformity theorems (Theorems 2.1/2.2, Lemmas 3.6/3.7).
 //     The analyzer forbids importing math/rand, math/rand/v2, or
 //     crypto/rand and calling time.Now/time.Since/time.Until anywhere in
-//     non-test code. The timing harnesses (cmd/swbench, cmd/swload) and
+//     non-test code. The timing harnesses (cmd/swbench, cmd/swperf) and
 //     the default-seed entropy bootstrap carry annotations.
 //
 //   - lockorder: internal/serve's pipelined hot path depends on a

@@ -8,10 +8,11 @@ import (
 // TestBuffersConcurrentReads exercises the read-only paths of both exact
 // materializers from many goroutines at once. The buffers are
 // single-writer structures — Observe/AdvanceTo are not synchronized — but
-// once ingest stops, Len/Contents/At/Now are pure reads, and harnesses
-// (swload's oracle checker, the serve layer's frozen snapshots) rely on
-// that. Run under -race via `make test-race`, this pins the contract: any
-// hidden mutation in a read path becomes a detected race.
+// once ingest stops, Len/Contents/At/Clock are pure reads, and the serve
+// layer relies on that: it reads a fullwindow substrate's footprint
+// (Words, hence Len) under its read lock, from many goroutines at once.
+// Run under -race via `make test-race`, this pins the contract: any hidden
+// mutation in a read path becomes a detected race.
 func TestBuffersConcurrentReads(t *testing.T) {
 	sb := NewSeqBuffer[uint64](32)
 	tb := NewTSBuffer[uint64](16)
@@ -47,7 +48,7 @@ func TestBuffersConcurrentReads(t *testing.T) {
 					}
 				}
 				if now, _ := tb.Clock(); tb.Len() != len(wantTS) || now != wantNow {
-					t.Errorf("TSBuffer read drifted: Len=%d Now=%d, want %d, %d",
+					t.Errorf("TSBuffer read drifted: Len=%d Clock=%d, want %d, %d",
 						tb.Len(), now, len(wantTS), wantNow)
 					return
 				}

@@ -440,3 +440,48 @@ func TestPublicSnapshotResume(t *testing.T) {
 		}
 	})
 }
+
+// TestPublicRestoreRefusesGuardBehind lowers a timestamp adapter's clock
+// guard below its core sampler's clock before Snapshot, a state no stream
+// produces: the guard would pass the next arrival at its own clock, and
+// the core would panic on it instead of the adapter returning
+// ErrTimeBackwards. The restore must refuse it, and an unstarted guard over
+// a started core; the untouched snapshot restores.
+func TestPublicRestoreRefusesGuardBehind(t *testing.T) {
+	wr, _ := NewTimestampWR[int](60, 4, WithSeed(15))
+	wor, _ := NewTimestampWOR[int](60, 4, WithSeed(16))
+	for i := 0; i < 100; i++ {
+		if wr.Observe(i, int64(i/5)) != nil || wor.Observe(i, int64(i/5)) != nil {
+			t.Fatal("observe refused")
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		guard   *tsSampler[int]
+		save    func(io.Writer) error
+		restore func(io.Reader) error
+	}{
+		{"TimestampWR", &wr.tsSampler, wr.Snapshot, func(r io.Reader) error { _, err := RestoreTimestampWR[int](r); return err }},
+		{"TimestampWOR", &wor.tsSampler, wor.Snapshot, func(r io.Reader) error { _, err := RestoreTimestampWOR[int](r); return err }},
+	} {
+		last := c.guard.last
+		restoreWith := func(l int64, begun bool) error {
+			c.guard.last, c.guard.begun = l, begun
+			defer func() { c.guard.last, c.guard.begun = last, true }()
+			var buf bytes.Buffer
+			if err := c.save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			return c.restore(&buf)
+		}
+		if err := restoreWith(last, true); err != nil {
+			t.Fatalf("%s untouched: %v", c.name, err)
+		}
+		if restoreWith(last-10, true) == nil {
+			t.Errorf("%s with its guard lowered by 10 restored", c.name)
+		}
+		if restoreWith(last, false) == nil {
+			t.Errorf("%s with an unstarted guard over a started core restored", c.name)
+		}
+	}
+}

@@ -73,7 +73,13 @@ func encodeClock[T any](w *snap.Writer, s *tsSampler[T]) {
 
 // restoreTimed reads a timestamp adapter's clock guard under kind, then
 // its core sampler with restore, and returns the adapter state over it.
-func restoreTimed[T any, S stream.TimedSampler[T]](r io.Reader, kind string, restore func(io.Reader) (S, error)) (tsSampler[T], S, error) {
+// Every time the core sees passes the guard first, so a core clock ahead
+// of the guard is refused: the guard would admit an arrival the core
+// panics on.
+func restoreTimed[T any, S interface {
+	stream.TimedSampler[T]
+	Clock() (int64, bool)
+}](r io.Reader, kind string, restore func(io.Reader) (S, error)) (tsSampler[T], S, error) {
 	ts, err := snap.Restore(r, kind, func(r *snap.Reader) tsSampler[T] {
 		return tsSampler[T]{last: r.I64(), begun: r.Bool()}
 	})
@@ -81,6 +87,11 @@ func restoreTimed[T any, S stream.TimedSampler[T]](r io.Reader, kind string, res
 	if err == nil {
 		inner, err = restore(r)
 		ts.timed, ts.inner = inner, inner
+	}
+	if err == nil {
+		if now, started := inner.Clock(); started && (!ts.begun || now > ts.last) {
+			err = snap.Errorf("slidingsample: core clock %d is ahead of the clock guard %d (begun %v)", now, ts.last, ts.begun)
+		}
 	}
 	return ts, inner, err
 }
