@@ -59,7 +59,45 @@ func decodeChain[T any](r *snap.Reader) *chain[T] {
 		}
 		c.nodes = append(c.nodes, chainNode[T]{st: st, succ: succ})
 	}
+	if r.Err() == nil {
+		checkChain(r, c)
+	}
 	return c
+}
+
+// checkChain refuses the chains observe cannot reach. After count arrivals
+// (the next has index count) a chain holds nodes exactly when count > 0;
+// each node's index is below count and its predecessor's successor, and
+// its own successor lies in [index+1, index+n]; the head is active at
+// index count−1; and the tail's successor has not arrived. A chain that
+// breaks one of these can lose its sample on a later arrival, which panics.
+func checkChain[T any](r *snap.Reader, c *chain[T]) {
+	if (c.count == 0) != (len(c.nodes) == 0) {
+		r.Failf("baseline.chain with %d nodes at count %d", len(c.nodes), c.count)
+		return
+	}
+	for i, nd := range c.nodes {
+		idx := nd.st.Elem.Index
+		switch {
+		case idx >= c.count:
+			r.Failf("baseline.chain node %d at index %d, count %d", i, idx, c.count)
+		case i > 0 && idx != c.nodes[i-1].succ:
+			r.Failf("baseline.chain node %d at index %d, not its predecessor's successor %d", i, idx, c.nodes[i-1].succ)
+		case nd.succ <= idx || nd.succ-idx > c.n:
+			r.Failf("baseline.chain node %d at index %d with successor %d, n %d", i, idx, nd.succ, c.n)
+		default:
+			continue
+		}
+		return
+	}
+	if len(c.nodes) == 0 {
+		return
+	}
+	if head := c.nodes[0].st.Elem.Index; !c.win.Active(head, c.count-1) {
+		r.Failf("baseline.chain head %d outside the window at index %d", head, c.count-1)
+	} else if succ := c.nodes[len(c.nodes)-1].succ; succ < c.count {
+		r.Failf("baseline.chain tail successor %d arrived before count %d", succ, c.count)
+	}
 }
 
 // Snapshot writes the sampler's full state (header included) to w.
@@ -96,6 +134,10 @@ func decodeChainTop[T any](r *snap.Reader) *Chain[T] {
 	c.chains = make([]*chain[T], c.k)
 	for i := 0; i < c.k && r.Err() == nil; i++ {
 		c.chains[i] = decodeChain[T](r)
+		// Every chain sees every arrival, at the index chains[0] counts.
+		if ch := c.chains[i]; r.Err() == nil && (ch.n != c.n || ch.count != c.chains[0].count) {
+			r.Failf("baseline.Chain chain %d with n %d, count %d; chain 0 n %d, count %d", i, ch.n, ch.count, c.n, c.chains[0].count)
+		}
 	}
 	return c
 }

@@ -321,12 +321,15 @@ func (d *dispatcher[T]) dealBatch(batch []stream.Element[T], weights []float64) 
 // barrier flushes every shard channel; after it returns, all elements
 // dispatched so far are reflected in the shard samplers and the dispatched
 // batch buffers are safe to reuse (cleared here, off the hot path, so
-// recycled buffers do not retain references to processed payloads). After
-// close it is a no-op: the final flush already ran, and the public
-// wrappers barrier on every query — a closed, fully-flushed sampler must
-// stay queryable.
+// recycled buffers do not retain references to processed payloads). While
+// synced it is a no-op: nothing was dealt since the last flush, whose
+// round trip already ordered every shard write before the caller's reads,
+// so repeated queries on an idle sampler wake no worker. After close it is
+// a no-op too: the final flush already ran, and the public wrappers
+// barrier on every query — a closed, fully-flushed sampler must stay
+// queryable.
 func (d *dispatcher[T]) barrier() {
-	if d.closed {
+	if d.closed || d.synced {
 		return
 	}
 	var wg sync.WaitGroup

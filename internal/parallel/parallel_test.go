@@ -162,6 +162,41 @@ func TestShardedRepeatedBarriers(t *testing.T) {
 	}
 }
 
+// TestSyncedBarrierSendsNothing: a barrier with nothing dealt since the
+// last one returns without a round trip. The shard channels are swapped
+// for unbuffered ones with no worker behind them, so a barrier that still
+// sends is caught at its first send (and then answered, so it can finish).
+func TestSyncedBarrierSendsNothing(t *testing.T) {
+	s := NewShardedSeqWR[uint64](xrand.New(6), 16, 4, 2)
+	defer s.Close()
+	s.Observe(1, 0)
+	s.Barrier()
+	d := s.d
+	live := d.chans
+	d.chans = make([]chan msg[uint64], len(live))
+	for i := range d.chans {
+		d.chans[i] = make(chan msg[uint64])
+	}
+	done := make(chan struct{})
+	go func() {
+		d.barrier()
+		close(done)
+	}()
+	for i, ch := range d.chans {
+		select {
+		case m := <-ch:
+			t.Errorf("synced barrier sent a flush message to shard %d", i)
+			m.barrier.Done()
+		case <-done:
+		}
+	}
+	<-done
+	d.chans = live
+	if _, ok := s.Sample(); !ok {
+		t.Fatal("no sample after a synced barrier")
+	}
+}
+
 func TestShardedMemoryLinearInShards(t *testing.T) {
 	// Total memory is G * Θ(k): still independent of n.
 	for _, g := range []int{1, 4, 16} {

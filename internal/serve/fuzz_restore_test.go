@@ -127,8 +127,11 @@ func seedSnapshot(t testing.TB, spec Spec) []byte {
 }
 
 // tryRestore feeds data to RestoreInstance and, when it succeeds, proves
-// the instance is live (query + close) so a semi-corrupt snapshot that
-// slips past validation still has to produce a working sampler.
+// the instance is live: three arrivals at the restored serve clock (with
+// weights when the substrate takes them), one query, then close. A
+// semi-corrupt snapshot that slips past validation still has to produce a
+// working sampler, so a decoder that admits a state its Observe cannot
+// reach fails the sweep (with a panic, as it would kill a live applier).
 func tryRestore(t *testing.T, data []byte) {
 	t.Helper()
 	inst, _, err := RestoreInstance(bytes.NewReader(data))
@@ -138,10 +141,29 @@ func tryRestore(t *testing.T, data []byte) {
 		}
 		return
 	}
+	defer inst.Close()
 	if _, k, _, _ := inst.Stats(); k <= 0 {
 		t.Fatalf("restored instance reports k=%d", k)
 	}
-	inst.Close()
+	var timestamps []int64
+	if !inst.seqMode() {
+		timestamps = []int64{inst.last, inst.last, inst.last}
+	}
+	var weights []float64
+	if inst.weighted != nil {
+		weights = []float64{1, 2, 3}
+	}
+	if _, err := inst.Ingest([]string{"a 1", "b 22", "c 333"}, timestamps, weights); err != nil {
+		t.Fatalf("ingest at the restored clock %d: %v", inst.last, err)
+	}
+	if inst.plain != nil {
+		_, _, err = inst.Sample(nil)
+	} else {
+		_, _, err = inst.SubsetSum(nil, func(string) bool { return true })
+	}
+	if err != nil {
+		t.Fatalf("query after restore and ingest: %v", err)
+	}
 }
 
 func FuzzRestoreInstance(f *testing.F) {

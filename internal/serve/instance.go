@@ -36,9 +36,12 @@ type stagedBatch struct {
 }
 
 // caps holds a built substrate behind its capability views. The registry
-// layers — the named Instance and the fabric's per-tenant holder — never
-// know concrete sampler types, only what each one can answer; wireCaps is
-// the single place the type assertions live.
+// layers — the named Instance and the fabric's tenants — never know
+// concrete sampler types, only what each one can answer. A named Instance
+// wires every view once (wireCaps); a fabric tenant keeps only its
+// ingester, since the fabric probes its template's views once and each
+// tenant call asserts the one view it needs against the same types
+// (sizeView, weightView, estAtView, estView below).
 type caps struct {
 	ing ingester // always non-nil
 
@@ -46,7 +49,7 @@ type caps struct {
 	plain    stream.Sampler[string]      // Sample()
 	timed    stream.TimedSampler[string] // SampleAt(now)
 	weighted weightedIngester            // explicit ingest weights
-	sizer    interface{ SizeAt(int64) uint64 }
+	sizer    sizeView
 	weigher  func(int64) float64                            // (1±ε) active-weight oracle
 	estAt    func(int64, func(string) bool) (float64, bool) // subset sum at a query time
 	est      func(pred func(string) bool) (float64, bool)   // subset sum, sequence windows
@@ -54,6 +57,20 @@ type caps struct {
 	closer   func()
 	clock    func() (int64, bool) // timestamp substrates: latest time seen
 }
+
+// The optional query views that have no stream interface of their own:
+// the (1±ε) window size and active weight, and the subset sum at a query
+// time or, on sequence windows, at the last arrival.
+type (
+	sizeView   interface{ SizeAt(int64) uint64 }
+	weightView interface{ TotalWeightAt(int64) float64 }
+	estAtView  interface {
+		EstimateAt(int64, func(string) bool) (float64, bool)
+	}
+	estView interface {
+		Estimate(func(string) bool) (float64, bool)
+	}
+)
 
 // wireCaps wires a substrate's capabilities by type assertion.
 func wireCaps(built any) caps {
@@ -67,10 +84,10 @@ func wireCaps(built any) caps {
 	if s, ok := built.(weightedIngester); ok {
 		c.weighted = s
 	}
-	if s, ok := built.(interface{ SizeAt(int64) uint64 }); ok {
+	if s, ok := built.(sizeView); ok {
 		c.sizer = s
 	}
-	if s, ok := built.(interface{ TotalWeightAt(int64) float64 }); ok {
+	if s, ok := built.(weightView); ok {
 		c.weigher = s.TotalWeightAt
 	} else if s, ok := built.(interface{ TotalWeight() float64 }); ok {
 		// Sequence-window sharded weighted samplers: the oracle is clocked
@@ -78,14 +95,10 @@ func wireCaps(built any) caps {
 		// readClock already rejects at= in seq mode).
 		c.weigher = func(int64) float64 { return s.TotalWeight() }
 	}
-	if s, ok := built.(interface {
-		EstimateAt(int64, func(string) bool) (float64, bool)
-	}); ok {
+	if s, ok := built.(estAtView); ok {
 		c.estAt = s.EstimateAt
 	}
-	if s, ok := built.(interface {
-		Estimate(func(string) bool) (float64, bool)
-	}); ok {
+	if s, ok := built.(estView); ok {
 		c.est = s.Estimate
 	}
 	if s, ok := built.(interface{ Barrier() }); ok {

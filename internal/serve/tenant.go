@@ -22,17 +22,20 @@ import (
 //     (an existing tenant) takes one stripe RLock just long enough for a
 //     map read; first arrivals take that stripe's write lock only, so a
 //     thundering herd of new tenants contends per stripe, not globally.
-//   - TENANTS ARE LIGHTWEIGHT: a tenant is the substrate behind its
-//     capability views plus one sync.Mutex and three clock/count words —
-//     NOT a full Instance. The named instances each carry a staging queue,
-//     two conds, and a dedicated applier goroutine (kilobytes of stack
-//     apiece), which is the right trade for a handful of hot streams and
-//     the wrong one a million times over. Per-tenant traffic is assumed
-//     thin, so tenant ingest validates outside the lock and applies
-//     synchronously under the tenant's own mutex; cross-tenant ingest still
-//     runs fully in parallel. (A plain Mutex, not RWMutex, on purpose: it
-//     is 24 bytes smaller, and clock-advancing queries need exclusivity
-//     anyway.)
+//   - TENANTS ARE LIGHTWEIGHT: a tenant is its substrate behind one
+//     ingester interface plus one sync.Mutex and three clock/count words
+//     (48 bytes) — NOT a full Instance, and not even the named instances'
+//     wired capability views: every tenant is built from the template, so
+//     the fabric probes which views exist once, at registration, and each
+//     tenant call asserts the one view it needs. The named instances each
+//     carry a staging queue, two conds, and a dedicated applier goroutine
+//     (kilobytes of stack apiece), which is the right trade for a handful
+//     of hot streams and the wrong one a million times over. Per-tenant
+//     traffic is assumed thin, so tenant ingest validates outside the lock
+//     and applies synchronously under the tenant's own mutex; cross-tenant
+//     ingest still runs fully in parallel. (A plain Mutex, not RWMutex, on
+//     purpose: it is 24 bytes smaller, and clock-advancing queries need
+//     exclusivity anyway.)
 //   - DETERMINISM IS PER TENANT: every tenant's substrate is seeded
 //     xrand.TenantSeed(fabric base seed, tenant id), a pure function of the
 //     pair, and queries draw no randomness (the package invariant). So a
@@ -65,13 +68,14 @@ const (
 	maxTenantIDBytes = 128
 )
 
-// tenant is one lazily created sampler: the substrate behind its capability
-// views, a mutex mapping HTTP concurrency onto the single-goroutine sampler
+// tenant is one lazily created sampler: the substrate behind its ingester
+// view, a mutex mapping HTTP concurrency onto the single-goroutine sampler
 // contract, and the same admission state the named instances keep (event
-// count and the monotone stream clock).
+// count and the monotone stream clock). Its other views are asserted per
+// call, once the fabric's probe flags show they exist.
 type tenant struct {
-	mu sync.Mutex
-	caps
+	mu     sync.Mutex
+	ing    ingester
 	events uint64
 	last   int64 // stream clock: max ingest/query time applied (ts mode)
 	begun  bool
@@ -90,10 +94,12 @@ type Fabric struct {
 	spec Spec // template; Seed is the fabric's RESOLVED base seed
 
 	// Capability flags probed from a throwaway template build at
-	// registration, so requests that can never succeed (explicit weights on
-	// a weight-function substrate, /size on a sampler without an oracle)
-	// are refused without creating the tenant.
-	weightedOK bool
+	// registration. Every tenant is built from the template, so each has
+	// exactly these views: requests that can never succeed (explicit
+	// weights on a weight-function substrate, /size on a sampler without an
+	// oracle) are refused without creating the tenant, and a flag that is
+	// set makes the tenant call's view assertion safe.
+	weightedOK, sampleOK, sampleAtOK, sizeOK, weightOK, estAtOK, estOK bool
 
 	maxTenants int64
 	live       atomic.Int64
@@ -144,9 +150,18 @@ func NewFabric(spec Spec, maxTenants int) (*Fabric, error) {
 	}
 	resolved := spec
 	resolved.Seed = substrate.ResolveSeed(spec.Seed)
+	// A tenant's weight view is weightView alone: caps.weigher's other
+	// form (TotalWeight) exists only on sharded substrates, refused above.
+	_, weightOK := probe.(weightView)
 	f := &Fabric{
 		spec:       resolved,
 		weightedOK: pc.weighted != nil,
+		sampleOK:   pc.plain != nil,
+		sampleAtOK: pc.timed != nil,
+		sizeOK:     pc.sizer != nil,
+		weightOK:   weightOK,
+		estAtOK:    pc.estAt != nil,
+		estOK:      pc.est != nil,
 		maxTenants: int64(maxTenants),
 		elems:      slab.NewSlicePool[stream.Element[string]](stream.MaxRecycledCap),
 	}
@@ -239,7 +254,7 @@ func (f *Fabric) createTenant(st *tenantStripe, id string) (*tenant, error) {
 		f.live.Add(-1)
 		return nil, err
 	}
-	tn := &tenant{caps: wireCaps(built)}
+	tn := &tenant{ing: built.(ingester)}
 	st.m[id] = tn
 	return tn, nil
 }
@@ -307,7 +322,7 @@ func (tn *tenant) apply(seqMode bool, elems []stream.Element[string], weights []
 		tn.last, tn.begun = lastTS, true
 	}
 	if weights != nil {
-		tn.weighted.ObserveWeightedBatch(elems, weights)
+		tn.ing.(weightedIngester).ObserveWeightedBatch(elems, weights)
 	} else {
 		tn.ing.ObserveBatch(elems)
 	}
@@ -351,7 +366,7 @@ func (f *Fabric) Sample(id string, at *int64) ([]stream.Element[string], bool, e
 	if err != nil {
 		return nil, false, err
 	}
-	if tn.plain == nil {
+	if !f.sampleOK {
 		return nil, false, ErrUnsupported
 	}
 	tn.mu.Lock()
@@ -361,13 +376,13 @@ func (f *Fabric) Sample(id string, at *int64) ([]stream.Element[string], bool, e
 		return nil, false, err
 	}
 	if f.seqMode() {
-		es, ok := tn.plain.Sample()
+		es, ok := tn.ing.(stream.Sampler[string]).Sample()
 		return es, ok, nil
 	}
-	if tn.timed == nil {
+	if !f.sampleAtOK {
 		return nil, false, ErrUnsupported
 	}
-	es, ok := tn.timed.SampleAt(now)
+	es, ok := tn.ing.(stream.TimedSampler[string]).SampleAt(now)
 	return es, ok, nil
 }
 
@@ -377,7 +392,7 @@ func (f *Fabric) Size(id string, at *int64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if tn.sizer == nil {
+	if !f.sizeOK {
 		return 0, ErrUnsupported
 	}
 	tn.mu.Lock()
@@ -386,7 +401,7 @@ func (f *Fabric) Size(id string, at *int64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return tn.sizer.SizeAt(now), nil
+	return tn.ing.(sizeView).SizeAt(now), nil
 }
 
 // Weight answers /tenant/{id}/weight: the (1±ε) active-weight total, on the
@@ -396,7 +411,7 @@ func (f *Fabric) Weight(id string, at *int64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if tn.weigher == nil {
+	if !f.weightOK {
 		return 0, ErrUnsupported
 	}
 	tn.mu.Lock()
@@ -405,7 +420,7 @@ func (f *Fabric) Weight(id string, at *int64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return tn.weigher(now), nil
+	return tn.ing.(weightView).TotalWeightAt(now), nil
 }
 
 // SubsetSum answers /tenant/{id}/subsetsum: the Horvitz–Thompson estimate
@@ -415,7 +430,7 @@ func (f *Fabric) SubsetSum(id string, at *int64, pred func(string) bool) (float6
 	if err != nil {
 		return 0, false, err
 	}
-	if tn.estAt == nil && tn.est == nil {
+	if !f.estAtOK && !f.estOK {
 		return 0, false, ErrUnsupported
 	}
 	tn.mu.Lock()
@@ -424,14 +439,14 @@ func (f *Fabric) SubsetSum(id string, at *int64, pred func(string) bool) (float6
 	if err != nil {
 		return 0, false, err
 	}
-	if f.seqMode() || tn.estAt == nil {
-		if tn.est == nil {
+	if f.seqMode() || !f.estAtOK {
+		if !f.estOK {
 			return 0, false, ErrUnsupported
 		}
-		v, ok := tn.est(pred)
+		v, ok := tn.ing.(estView).Estimate(pred)
 		return v, ok, nil
 	}
-	v, ok := tn.estAt(now, pred)
+	v, ok := tn.ing.(estAtView).EstimateAt(now, pred)
 	return v, ok, nil
 }
 

@@ -46,7 +46,7 @@ func (nf *naiveFabric) ingest(id string, values []string, weights []float64) (ui
 		if err != nil {
 			return 0, err
 		}
-		tn = &tenant{caps: wireCaps(built)}
+		tn = &tenant{ing: built.(ingester)}
 		nf.m[id] = tn
 	}
 	elems := make([]stream.Element[string], len(values))

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -382,5 +384,61 @@ func TestTenantScratchRecyclingKeepsBatchesIntact(t *testing.T) {
 		if ir.Ingested != n || ir.Count != total {
 			t.Fatalf("round %d: ingested %d count %d, want %d/%d (%s)", r, ir.Ingested, ir.Count, n, total, body)
 		}
+	}
+}
+
+// TestActiveTenantBytes bounds the live heap of a tenants-zipf-shaped
+// population: 20k batches of 16 explicitly weighted values, each for a
+// Zipf(1.1)-drawn tenant out of 100k, into a weighted-wor fabric at n 4096,
+// k 8. Each batch has its own value strings, built before the first
+// reading like the requests they stand for, so the growth is the fabric's:
+// the registry, the tenant records and their skybands. The bound is ~10%
+// above a reading of 1,264 bytes per tenant (amd64, go1.24): it catches a
+// wider tenant record or more skyband slack (tenant records that carried
+// every wired capability view, with append-doubled node slices, read
+// 1,617).
+func TestActiveTenantBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory distorts heap readings")
+	}
+	const batches, size, ids, activeTenantBytes = 20_000, 16, 100_000, 1390
+	f, err := NewFabric(Spec{Mode: "seq", Sampler: "weighted-wor", N: 4096, K: 8, Weight: "bytes", Seed: 821}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := xrand.New(821)
+	pick := xrand.NewZipf(r, 1.1, ids)
+	type batch struct {
+		id      string
+		values  []string
+		weights []float64
+	}
+	bs := make([]batch, batches)
+	for i := range bs {
+		b := batch{id: "t" + strconv.FormatUint(pick.Next(), 10), values: make([]string, size), weights: make([]float64, size)}
+		for j := range b.values {
+			b.values[j] = "e" + strconv.FormatUint(r.Uint64n(1<<20), 10)
+			b.weights[j] = float64(1 + r.Uint64n(9))
+		}
+		bs[i] = b
+	}
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	for _, b := range bs {
+		if _, err := f.Ingest(b.id, b.values, nil, b.weights); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	per := (float64(m1.HeapAlloc) - float64(m0.HeapAlloc)) / float64(f.Tenants())
+	runtime.KeepAlive(bs)
+	runtime.KeepAlive(f)
+	t.Logf("%d tenants, %.0f live heap bytes per tenant", f.Tenants(), per)
+	if per > activeTenantBytes {
+		t.Errorf("%.0f live heap bytes per tenant, want at most %d", per, activeTenantBytes)
 	}
 }

@@ -472,8 +472,13 @@ func appendRecord(dst []byte, rec wireRecord) ([]byte, error) {
 
 // appendJSONFloat is encoding/json's float64 rendering: the shortest
 // round-trip digits, in exponent form below 1e-6 or from 1e21 up, with a
-// one-digit negative exponent left unpadded.
+// one-digit negative exponent left unpadded. An integral weight in
+// [1, 2^53), the common case, has its decimal digits as those shortest
+// digits, so it skips the float formatter.
 func appendJSONFloat(dst []byte, f float64) []byte {
+	if f >= 1 && f < 1<<53 && f == math.Trunc(f) {
+		return strconv.AppendInt(dst, int64(f), 10)
+	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'

@@ -337,6 +337,10 @@ func FuzzWALRecordDiff(f *testing.F) {
 	for i, v := range walRecordCorpus {
 		f.Add(v, int64(i)-5, i%2 == 0, weights[i%len(weights)], i%3 != 0)
 	}
+	// Both sides of the integral fast path's [1, 2^53) range.
+	for i, w := range []float64{7, 1<<53 - 1, 1 << 53, 1 - 0x1p-53, -3} {
+		f.Add("plain", int64(i), false, w, true)
+	}
 	f.Fuzz(func(t *testing.T, value string, ts int64, hasTS bool, weight float64, hasW bool) {
 		rec := wireRecord{value: value, ts: ts, hasTS: hasTS, weight: weight, hasW: hasW}
 		ref := Record{Value: value}

@@ -12,7 +12,9 @@ import (
 
 // insertNodeCopy is the skyband walk the in-place insertNode replaced,
 // kept as the differential oracle: every node is copied out as the range
-// value, bumped, and appended back through a second copy.
+// value, bumped, and appended back through a second copy. The arrival goes
+// through appendNode, the growth rule both walks share, so the oracle
+// comparison can hold capacities equal too.
 func insertNodeCopy[T any](nodes []node[T], k int, e stream.Element[T], w, lk float64) []node[T] {
 	old := len(nodes)
 	keep := nodes[:0]
@@ -24,7 +26,7 @@ func insertNodeCopy[T any](nodes []node[T], k int, e stream.Element[T], w, lk fl
 			keep = append(keep, nd)
 		}
 	}
-	nodes = append(keep, node[T]{elem: e, w: w, lk: lk})
+	nodes = appendNode(keep, node[T]{elem: e, w: w, lk: lk})
 	if len(nodes) < old {
 		clear(nodes[len(nodes):old])
 	}

@@ -119,7 +119,9 @@ func (s *skyband[T]) observe(e stream.Element[T], w float64) {
 // The walk is in place: a count is bumped through a pointer, so until the
 // first drop a node costs a key compare and at most one word written, and
 // only the nodes after a drop are copied down to close the gap. The walk
-// itself stays O(m) for m retained nodes.
+// itself stays O(m) for m retained nodes. The arrival is appended through
+// appendNode, so a full slice past eight nodes grows by a quarter, not by
+// append's doubling.
 func insertNode[T any](nodes []node[T], k int, e stream.Element[T], w, lk float64) []node[T] {
 	i := 0
 	for ; i < len(nodes); i++ {
@@ -132,7 +134,7 @@ func insertNode[T any](nodes []node[T], k int, e stream.Element[T], w, lk float6
 		}
 	}
 	if i == len(nodes) {
-		return append(nodes, node[T]{elem: e, w: w, lk: lk})
+		return appendNode(nodes, node[T]{elem: e, w: w, lk: lk})
 	}
 	// nodes[i] is the first drop: compact the survivors after it down.
 	keep := i
@@ -147,9 +149,30 @@ func insertNode[T any](nodes []node[T], k int, e stream.Element[T], w, lk float6
 		}
 	}
 	old := len(nodes)
-	nodes = append(nodes[:keep], node[T]{elem: e, w: w, lk: lk})
+	nodes = appendNode(nodes[:keep], node[T]{elem: e, w: w, lk: lk})
 	clear(nodes[keep+1 : old])
 	return nodes
+}
+
+// appendNode appends nd to a skyband's nodes. A full slice of eight or
+// more nodes grows by a quarter rather than by append's doubling: a
+// skyband's node count grows only logarithmically once its window is warm,
+// so most of a doubled capacity would stay empty for the sampler's
+// lifetime, and the fabric packs millions of skybands into one heap.
+// Below eight nodes a quarter is at most one node, so the slice doubles
+// instead (from one slot, which is all an idle skyband needs): one-node
+// steps would reallocate on almost every arrival while the skyband fills.
+func appendNode[T any](nodes []node[T], nd node[T]) []node[T] {
+	if n := len(nodes); n == cap(nodes) {
+		step := n / 4
+		if n < 8 {
+			step = max(1, n)
+		}
+		grown := make([]node[T], n, n+step)
+		copy(grown, nodes)
+		nodes = grown
+	}
+	return append(nodes, nd)
 }
 
 // dropFront removes the first i nodes by shifting the survivors in place
