@@ -111,15 +111,15 @@ swperf-smoke:
 # json.Marshal, the /samplers and /fabrics registration property (201 and
 # listed, or 4xx and the listing unchanged), and the snapshot decoder
 # behind POST /restore (an error or an instance that takes three arrivals
-# and a query, never a panic). The restore target's minimization is bounded
-# to 100 calls per new input: unbounded, it can spend the whole 10 s
-# shrinking snapshot-sized inputs instead of mutating. Their seed corpora
-# also run on every plain `go test`.
+# and a query, never a panic). Every target's minimization is bounded to
+# 100 calls per new input: unbounded, a target can spend most of its 10 s
+# shrinking the new inputs its first seconds found instead of mutating.
+# Their seed corpora also run on every plain `go test`.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzIngestHandler$$' -fuzztime 10s ./internal/serve/
-	$(GO) test -run '^$$' -fuzz '^FuzzIngestDecodeDiff$$' -fuzztime 10s ./internal/serve/
-	$(GO) test -run '^$$' -fuzz '^FuzzWALRecordDiff$$' -fuzztime 10s ./internal/serve/
-	$(GO) test -run '^$$' -fuzz '^FuzzRegisterHandler$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzIngestHandler$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzIngestDecodeDiff$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzWALRecordDiff$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzRegisterHandler$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreInstance$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/serve/
 
 # Fast benchmark smoke: fixed iteration counts so CI time is bounded.

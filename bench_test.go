@@ -716,8 +716,8 @@ func BenchmarkShardedWeightedTSWOR_Ingest(b *testing.B) {
 
 // The checkpointed query cadence: one Barrier + Sample per batch. This is
 // what real consumers of the sharded samplers run (queries require a
-// barrier), and it is the cadence the dispatcher's double-buffered batch
-// slices make allocation-free.
+// barrier); each barrier's round trip brings every dealt shard slice back
+// to its free list, so the dealing allocates nothing here.
 func BenchmarkBatch_ShardedSeqWR_BatchQuery(b *testing.B) {
 	s := parallel.NewShardedSeqWR[uint64](xrand.New(1), 1<<16, 4, 16)
 	defer s.Close()
@@ -740,8 +740,8 @@ func BenchmarkBatch_ShardedSeqWR_BatchQuery(b *testing.B) {
 
 // Sharded WEIGHTED ingest (PR-4 tentpole): the weight-aware dealing
 // computes each element's weight once producer-side — feeding the
-// per-shard weight histograms — and ships batch and weights through the
-// same double-buffered recycling (BENCH_4.json records the baselines).
+// per-shard weight histograms — and ships batch and weights in the same
+// free-listed shard slices (BENCH_4.json records the baselines).
 func BenchmarkBatch_ShardedWeightedTSWOR_Loop(b *testing.B) {
 	s := parallel.NewShardedWeightedTSWOR[uint64](xrand.New(1), 512, 4, 8, 0.05, benchWeightFn)
 	defer s.Close()

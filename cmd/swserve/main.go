@@ -25,7 +25,7 @@
 // With -fabric the initial registration is a multi-tenant FABRIC instead of
 // a single sampler: per-tenant samplers are stamped out lazily from the
 // spec on first ingest (DESIGN.md §9), capped at -max-tenants, under
-// /tenant/{fabric}/{tenant-id}/{ingest,sample,size,weight,subsetsum}; more
+// /tenant/{fabric}/{tenant-id}/{ingest,sample,size,subsetsum}; more
 // fabrics can be added at runtime with POST /fabrics.
 //
 // With -state-dir the registry is DURABLE (DESIGN.md §10): each instance

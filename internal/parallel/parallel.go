@@ -28,16 +28,19 @@
 // Ingest runs one goroutine per shard fed by buffered channels, dealing
 // either single elements or pre-split batches (ObserveBatch splits a batch
 // round-robin and forwards each slice to its shard's batched hot path, so
-// the per-element channel overhead is amortized too). Barrier() flushes all
-// channels so queries observe a consistent prefix; a query then runs on
-// the calling goroutine, one sub-query per shard in shard order. This is a
-// checkpointed model: queries between barriers would race with in-flight
-// elements, so Sample panics unless the caller holds a barrier. The exported
-// Barrier/Close hooks are what the layers above build their safety on —
-// the public wrappers and the HTTP serving layer barrier automatically
-// before every query, and shutdown drains a final barrier before Close
-// stops the workers (DESIGN.md §7); note that ANY read of shard sampler
-// state, including Words(), needs the same discipline.
+// the per-element channel overhead is amortized too). A shard's slice comes
+// off the shard's free list, and its worker hands it back once applied, so
+// batched ingest reuses its slices with or without barriers (see
+// dispatcher.free). Barrier() flushes all channels so queries observe a
+// consistent prefix; a query then runs on the calling goroutine, one
+// sub-query per shard in shard order. This is a checkpointed model:
+// queries between barriers would race with in-flight elements, so Sample
+// panics unless the caller holds a barrier. The exported Barrier/Close
+// hooks are what the layers above build their safety on — the public
+// wrappers and the HTTP serving layer barrier automatically before every
+// query, and shutdown drains a final barrier before Close stops the
+// workers (DESIGN.md §7); note that ANY read of shard sampler state,
+// including Words(), needs the same discipline.
 package parallel
 
 import (
@@ -58,11 +61,26 @@ import (
 type msg[T any] struct {
 	value   T
 	ts      int64
-	weight  float64             // weighted dispatch: the element's precomputed weight
-	batch   []stream.Element[T] // non-nil: a pre-split shard batch
-	weights []float64           // non-nil with batch: the batch's precomputed weights
-	barrier *sync.WaitGroup     // non-nil: flush marker, not an element
+	weight  float64         // weighted dispatch: the element's precomputed weight
+	batch   shardBatch[T]   // non-nil elems: a dealt shard slice (see dispatcher.free)
+	barrier *sync.WaitGroup // non-nil: flush marker, not an element
 }
+
+// shardBatch is one shard's slice of a dealt batch: its elements and, on
+// weighted dispatch, their precomputed weights (nil otherwise). The two
+// halves are taken, sent, applied and handed back together.
+type shardBatch[T any] struct {
+	elems   []stream.Element[T]
+	weights []float64
+}
+
+// freeSlices bounds each shard's free list of handed-back batch slices.
+// Two per shard retain at most 2·G slices, as many as the two G-slice
+// buffer generations dealing kept before the free lists, and on a 2-vCPU
+// box they served 99.3–99.7% of the flows-durable and bulk-ndjson serving
+// workloads' shard slices (CHANGES.md has the measured shares). Slices
+// handed back to a full list are dropped.
+const freeSlices = 2
 
 // dispatcher is the shared round-robin ingest machinery: G worker
 // goroutines, one buffered channel each, dealing, barriers and shutdown.
@@ -73,28 +91,23 @@ type msg[T any] struct {
 // stream.WeightedSampler shards, elements and batches travel with
 // precomputed weights (the weighted sharded samplers compute each weight
 // once for their dispatcher-side per-shard weight oracles and forward it),
-// dealt through the identical round-robin split and double-buffered
-// recycling — the weight slices are just a parallel half of each buffer
-// generation.
+// dealt through the identical round-robin split — the weight slice is just
+// the second half of each shard batch.
 type dispatcher[T any] struct {
 	g       int
 	shards  []stream.Sampler[T]
 	wshards []stream.WeightedSampler[T] // non-nil: weighted dispatch enabled
 	chans   []chan msg[T]
-	// bufs double-buffers the per-shard batch slices: two generations of G
-	// buffers each. A generation is refilled ONLY when every slice cut from
-	// it has been flushed by a Barrier — workers never see a reused slice
-	// before the next Barrier, which is the whole safety argument (no
-	// per-message handshake needed, so the hot path stays channel-free).
-	// Between barriers the two clean generations cover two batches and
-	// further ones fall back to fresh right-sized allocations; under the
-	// checkpointed query cadence (Sample requires a Barrier) batched ingest
-	// is allocation-free in steady state. wbufs is the weight half of each
-	// generation (weighted dispatch only), recycled under the same
-	// dirty/clean flags since element and weight slices are cut together.
-	bufs   [2][][]stream.Element[T]
-	wbufs  [2][][]float64
-	dirty  [2]bool
+	// free[i] is shard i's free list of batch slices, and one ownership
+	// rule covers every dealt slice: it belongs to the producer from the
+	// moment dealBatch takes it (from free[i], or newly allocated) until
+	// the producer sends it on chans[i], and to worker i from then until
+	// the worker, having applied it to the shard and cleared it, hands it
+	// back on free[i]. The channel operations order every access, so no
+	// barrier is needed for reuse, and batched ingest is allocation-free
+	// whenever the workers keep up with the producer.
+	free   []chan shardBatch[T]
+	flush  sync.WaitGroup // barrier's round trip, reused across barriers
 	wg     sync.WaitGroup
 	next   int
 	count  uint64
@@ -116,25 +129,21 @@ func newWeightedDispatcher[T any](wshards []stream.WeightedSampler[T]) *dispatch
 	return startDispatcher(shards, wshards)
 }
 
-// startDispatcher is the shared construction: buffer generations, channel
-// sizing and worker spawning are identical for weighted and unweighted
-// dispatch (wshards non-nil is the only difference).
+// startDispatcher is the shared construction: free lists, channel sizing
+// and worker spawning are identical for weighted and unweighted dispatch
+// (wshards non-nil is the only difference).
 func startDispatcher[T any](shards []stream.Sampler[T], wshards []stream.WeightedSampler[T]) *dispatcher[T] {
 	d := &dispatcher[T]{
 		g:       len(shards),
 		shards:  shards,
 		wshards: wshards,
 		chans:   make([]chan msg[T], len(shards)),
+		free:    make([]chan shardBatch[T], len(shards)),
 		synced:  true,
-	}
-	for j := range d.bufs {
-		d.bufs[j] = make([][]stream.Element[T], len(shards))
-		if wshards != nil {
-			d.wbufs[j] = make([][]float64, len(shards))
-		}
 	}
 	for i := range shards {
 		d.chans[i] = make(chan msg[T], 1024)
+		d.free[i] = make(chan shardBatch[T], freeSlices)
 		d.wg.Add(1)
 		go d.work(i)
 	}
@@ -154,10 +163,13 @@ func (d *dispatcher[T]) work(i int) {
 		switch {
 		case m.barrier != nil:
 			m.barrier.Done()
-		case m.weights != nil:
-			wshard.ObserveWeightedBatch(m.batch, m.weights)
-		case m.batch != nil:
-			shard.ObserveBatch(m.batch)
+		case m.batch.elems != nil:
+			if m.batch.weights != nil {
+				wshard.ObserveWeightedBatch(m.batch.elems, m.batch.weights)
+			} else {
+				shard.ObserveBatch(m.batch.elems)
+			}
+			d.handBack(i, m.batch)
 		case wshard != nil:
 			// Weighted dispatchers route every bare element through
 			// observeWeighted, so this case IS the weighted single element.
@@ -166,6 +178,38 @@ func (d *dispatcher[T]) work(i int) {
 			shard.Observe(m.value, m.ts)
 		}
 	}
+}
+
+// handBack is the worker's half of the ownership rule: once shard i has
+// applied b, the elements are cleared so the slice pins no payload, and
+// the slice goes back on the shard's free list — dropped instead when the
+// list is full or a half grew past stream.MaxRecycledCap. The weight half
+// holds no pointers and is only truncated.
+func (d *dispatcher[T]) handBack(i int, b shardBatch[T]) {
+	clear(b.elems)
+	if cap(b.elems) > stream.MaxRecycledCap || cap(b.weights) > stream.MaxRecycledCap {
+		return
+	}
+	select {
+	case d.free[i] <- shardBatch[T]{elems: b.elems[:0], weights: b.weights[:0]}:
+	default:
+	}
+}
+
+// take is the producer's half: shard i's next batch slice, from its free
+// list when one is there and newly allocated with room for n elements
+// otherwise.
+func (d *dispatcher[T]) take(i, n int, weighted bool) shardBatch[T] {
+	select {
+	case b := <-d.free[i]:
+		return b
+	default:
+	}
+	b := shardBatch[T]{elems: make([]stream.Element[T], 0, n)}
+	if weighted {
+		b.weights = make([]float64, 0, n)
+	}
+	return b
 }
 
 // requireOpen turns ingest-after-Close from a bare runtime "send on
@@ -201,9 +245,6 @@ func (d *dispatcher[T]) observeWeighted(value T, w float64, ts int64) {
 // observeBatch deals a batch round-robin: element i goes to shard
 // (next+i) mod G, preserving exactly the order single-element dispatch
 // would use, but each shard receives one message carrying its whole slice.
-// Shard slices come from a clean (barrier-flushed) buffer generation when
-// one is available and are allocated right-sized otherwise, so ingest
-// interleaved with queries reuses the same 2G buffers forever.
 func (d *dispatcher[T]) observeBatch(batch []stream.Element[T]) {
 	d.dealBatch(batch, nil)
 }
@@ -215,140 +256,57 @@ func (d *dispatcher[T]) observeWeightedBatch(batch []stream.Element[T], weights 
 	d.dealBatch(batch, weights)
 }
 
-// dealBatch is the shared round-robin batch dealing. With weights non-nil
-// the weight slices are split alongside the element slices, drawn from the
-// same buffer generation — the element and weight halves of a generation
-// are always cut and flushed together, so one set of dirty flags covers
-// both.
+// dealBatch is the shared round-robin batch dealing: shard i receives
+// batch[j], batch[j+G], ... from the first j with (next+j) mod G = i, in a
+// slice taken from its free list (see dispatcher.free), and the shards are
+// sent their slices in shard order. With weights non-nil the weight half
+// of each shard slice is filled alongside. The caller's slices are
+// reusable on return.
 func (d *dispatcher[T]) dealBatch(batch []stream.Element[T], weights []float64) {
 	if len(batch) == 0 {
 		return
 	}
 	d.requireOpen()
-	per := len(batch)/d.g + 1
-	gen := -1
-	var split [][]stream.Element[T]
-	var wsplit [][]float64
-	switch {
-	case !d.dirty[0]:
-		gen = 0
-	case !d.dirty[1]:
-		gen = 1
-	}
-	if gen >= 0 {
-		d.dirty[gen] = true
-		split = d.bufs[gen]
-		for i := range split {
-			if cap(split[i]) == 0 {
-				split[i] = make([]stream.Element[T], 0, per)
-			} else {
-				split[i] = split[i][:0]
-			}
+	for i := range d.g {
+		first := (i - d.next + d.g) % d.g
+		if first >= len(batch) {
+			continue
+		}
+		b := d.take(i, (len(batch)-first+d.g-1)/d.g, weights != nil)
+		for j := first; j < len(batch); j += d.g {
+			b.elems = append(b.elems, batch[j])
 		}
 		if weights != nil {
-			wsplit = d.wbufs[gen]
-			for i := range wsplit {
-				if cap(wsplit[i]) == 0 {
-					wsplit[i] = make([]float64, 0, per)
-				} else {
-					wsplit[i] = wsplit[i][:0]
-				}
+			for j := first; j < len(batch); j += d.g {
+				b.weights = append(b.weights, weights[j])
 			}
 		}
-	} else {
-		// Both generations have un-barriered batches in flight: fall back to
-		// fresh one-off slices (never retained), exactly like unrecycled
-		// dealing — reuse here could hand a worker a slice it is reading.
-		split = make([][]stream.Element[T], d.g)
-		for i := range split {
-			split[i] = make([]stream.Element[T], 0, per)
-		}
-		if weights != nil {
-			wsplit = make([][]float64, d.g)
-			for i := range wsplit {
-				wsplit[i] = make([]float64, 0, per)
-			}
-		}
+		d.chans[i] <- msg[T]{batch: b}
 	}
-	shard := d.next
-	if weights == nil {
-		for _, e := range batch {
-			split[shard] = append(split[shard], e)
-			shard = (shard + 1) % d.g
-		}
-	} else {
-		for i, e := range batch {
-			split[shard] = append(split[shard], e)
-			wsplit[shard] = append(wsplit[shard], weights[i])
-			shard = (shard + 1) % d.g
-		}
-	}
-	for i, sub := range split {
-		if len(sub) > 0 {
-			m := msg[T]{batch: sub}
-			if weights != nil {
-				m.weights = wsplit[i]
-			}
-			d.chans[i] <- m
-		}
-	}
-	if gen >= 0 {
-		// Keep the (possibly grown) headers for reuse after the next
-		// barrier; the slices keep their dispatched length so the barrier
-		// can clear exactly the elements the workers consumed. Oversized
-		// backing arrays are dropped rather than pinned (the shared
-		// stream.MaxRecycledCap discipline).
-		for i := range split {
-			if cap(split[i]) > stream.MaxRecycledCap {
-				split[i] = nil
-			}
-		}
-		d.bufs[gen] = split
-		if weights != nil {
-			for i := range wsplit {
-				if cap(wsplit[i]) > stream.MaxRecycledCap {
-					wsplit[i] = nil
-				}
-			}
-			d.wbufs[gen] = wsplit
-		}
-	}
-	d.next = shard
+	d.next = (d.next + len(batch)) % d.g
 	d.count += uint64(len(batch))
 	d.synced = false
 }
 
 // barrier flushes every shard channel; after it returns, all elements
-// dispatched so far are reflected in the shard samplers and the dispatched
-// batch buffers are safe to reuse (cleared here, off the hot path, so
-// recycled buffers do not retain references to processed payloads). While
-// synced it is a no-op: nothing was dealt since the last flush, whose
-// round trip already ordered every shard write before the caller's reads,
-// so repeated queries on an idle sampler wake no worker. After close it is
-// a no-op too: the final flush already ran, and the public wrappers
-// barrier on every query — a closed, fully-flushed sampler must stay
-// queryable.
+// dispatched so far are reflected in the shard samplers. The channels are
+// FIFO, so each worker has also handed back every slice dealt before the
+// flush, and ingest on the checkpointed query cadence takes only
+// free-listed slices. While synced it is a no-op: nothing was dealt since
+// the last flush, whose round trip already ordered every shard write
+// before the caller's reads, so repeated queries on an idle sampler wake
+// no worker. After close it is a no-op too: the final flush already ran,
+// and the public wrappers barrier on every query — a closed, fully-flushed
+// sampler must stay queryable.
 func (d *dispatcher[T]) barrier() {
 	if d.closed || d.synced {
 		return
 	}
-	var wg sync.WaitGroup
-	wg.Add(d.g)
+	d.flush.Add(d.g)
 	for _, ch := range d.chans {
-		ch <- msg[T]{barrier: &wg}
+		ch <- msg[T]{barrier: &d.flush}
 	}
-	wg.Wait()
-	for j := range d.bufs {
-		if !d.dirty[j] {
-			continue
-		}
-		for i := range d.bufs[j] {
-			clear(d.bufs[j][i])
-		}
-		// The weight halves (wbufs) hold no pointers, so they need no
-		// clearing to release payloads; reuse truncates them to length 0.
-		d.dirty[j] = false
-	}
+	d.flush.Wait()
 	d.synced = true
 }
 
@@ -577,8 +535,10 @@ func validateTSShardParams(t0 int64, g, k int, eps float64) {
 // element. The estimator's Observe costs amortized O(1) comparisons and
 // O(1/eps) bucket copies for its cascade, plus a shift of its B =
 // O(eps^-1·log n) buckets on an arrival that expires some (see the ehist
-// package doc).
+// package doc). A closed dispatch panics before the estimator or the clock
+// sees the element, as wdispatch does.
 func (t *tsDispatch[T]) observe(value T, ts int64) {
+	t.d.requireOpen()
 	t.est.Observe(ts)
 	t.now = ts
 	t.begun = true
@@ -586,13 +546,15 @@ func (t *tsDispatch[T]) observe(value T, ts int64) {
 }
 
 func (t *tsDispatch[T]) observeBatch(batch []stream.Element[T]) {
+	if len(batch) == 0 {
+		return
+	}
+	t.d.requireOpen()
 	for _, e := range batch {
 		t.est.Observe(e.TS)
 	}
-	if len(batch) > 0 {
-		t.now = batch[len(batch)-1].TS
-		t.begun = true
-	}
+	t.now = batch[len(batch)-1].TS
+	t.begun = true
 	t.d.observeBatch(batch)
 }
 

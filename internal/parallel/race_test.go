@@ -29,8 +29,8 @@ func raceSubstrates() map[string]func(r *xrand.Rand) stream.Sampler[uint64] {
 			return NewShardedTSWOR[uint64](r, t0, g, k, eps)
 		},
 		// The weighted substrates exercise the weight-aware dispatch: the
-		// weight halves of the double-buffered dealing generations cross
-		// goroutines exactly like the element halves.
+		// weight halves of the dealt shard slices cross goroutines, and
+		// come back on the free lists, exactly like the element halves.
 		"ShardedWeightedSeqWOR": func(r *xrand.Rand) stream.Sampler[uint64] {
 			return NewShardedWeightedSeqWOR[uint64](r, n, g, k, eps, weight)
 		},
@@ -46,13 +46,15 @@ func raceSubstrates() map[string]func(r *xrand.Rand) stream.Sampler[uint64] {
 	}
 }
 
-// TestShardedIngestRace drives ObserveBatch + Observe + Barrier + Sample
-// cycles through every sharded sampler. Its value is under `go test -race`
-// (a CI step): the producer-side dealing, the worker goroutines, the
-// barrier flush, and the double-buffered shard-batch slices all hand
-// memory across goroutines, and this cycle makes every hand-off happen
-// many times — including buffer reuse after a barrier marked a generation
-// clean, the exact path a reuse bug would race on.
+// TestShardedIngestRace drives ObserveBatch + Observe cycles, with a
+// Barrier + Sample every third cycle, through every sharded sampler. Its
+// value is under `go test -race` (a CI step): the producer-side dealing,
+// the worker goroutines, the barrier flush, and the shard-batch slices
+// that workers hand back on their free lists all hand memory across
+// goroutines, and this cycle makes every hand-off happen many times —
+// including slices re-dealt between barriers, taken off a free list with
+// only its channel ordering them, the exact path a reuse bug would race
+// on.
 func TestShardedIngestRace(t *testing.T) {
 	for name, mk := range raceSubstrates() {
 		t.Run(name, func(t *testing.T) {
@@ -68,13 +70,14 @@ func TestShardedIngestRace(t *testing.T) {
 				}
 			}
 			// Irregular batch sizes, single-element dispatches mixed in, a
-			// query (under a barrier) every cycle. Batches reuse one caller
-			// buffer — the dispatcher must have copied what it needs by the
-			// time ObserveBatch returns.
+			// query (under a barrier) every third cycle, so three batches
+			// are dealt between barriers. Batches reuse one caller buffer —
+			// the dispatcher must have copied what it needs by the time
+			// ObserveBatch returns.
 			sizes := []int{1, 7, 256, 3, 64, 512, 2}
 			buf := make([]stream.Element[uint64], 0, 512)
 			idx := 0
-			for cycle := 0; cycle < 60; cycle++ {
+			for cycle := 0; cycle < 90; cycle++ {
 				sz := sizes[cycle%len(sizes)]
 				buf = buf[:0]
 				for j := 0; j < sz; j++ {
@@ -84,15 +87,18 @@ func TestShardedIngestRace(t *testing.T) {
 				s.ObserveBatch(buf)
 				s.Observe(uint64(idx), int64(idx/3))
 				idx++
+				if cycle%3 != 2 {
+					continue
+				}
 				barrier()
-				if got, ok := s.Sample(); ok {
-					for _, e := range got {
-						if e.Value != e.Index {
-							t.Fatalf("cycle %d: dealt element corrupted: value %d at index %d", cycle, e.Value, e.Index)
-						}
-					}
-				} else if cycle > 0 {
+				got, ok := s.Sample()
+				if !ok {
 					t.Fatalf("cycle %d: no sample from a non-empty window", cycle)
+				}
+				for _, e := range got {
+					if e.Value != e.Index {
+						t.Fatalf("cycle %d: dealt element corrupted: value %d at index %d", cycle, e.Value, e.Index)
+					}
 				}
 			}
 			if s.Count() != uint64(idx) {

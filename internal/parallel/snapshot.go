@@ -5,8 +5,8 @@
 // shard samplers hold exactly the elements dispatched so far. What rides
 // the wire is the persistent state only: the dealing cursor and arrival
 // count, the dispatcher-side rng and oracles, and each shard sampler's
-// body through its package's exported codec. Transport (channels, buffer
-// generations, dirty flags) and the per-query weight caches are rebuilt
+// body through its package's exported codec. Transport (channels and the
+// free lists of batch slices) and the per-query weight caches are rebuilt
 // empty/invalid on restore — the first query after a restore re-derives
 // them, which is exactly what the first query after a barrier does.
 //

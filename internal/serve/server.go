@@ -38,7 +38,6 @@ import (
 //	POST /tenant/{fabric}/{id}/ingest          batched ingest, JSON or NDJSON
 //	GET  /tenant/{fabric}/{id}/sample          tenant sample             [?at=<ts>]
 //	GET  /tenant/{fabric}/{id}/size            tenant window size oracle [?at=<ts>]
-//	GET  /tenant/{fabric}/{id}/weight          tenant weight oracle      [?at=<ts>]
 //	GET  /tenant/{fabric}/{id}/subsetsum       tenant subset-sum         [?at=<ts>&prefix=&contains=]
 //
 // Close drains every instance (barrier, then shard shutdown) and seals
@@ -81,7 +80,6 @@ func NewServer() *Server {
 	s.mux.HandleFunc("POST /tenant/{fabric}/{id}/ingest", s.handleTenantIngest)
 	s.mux.HandleFunc("GET /tenant/{fabric}/{id}/sample", s.handleTenantSample)
 	s.mux.HandleFunc("GET /tenant/{fabric}/{id}/size", s.handleTenantSize)
-	s.mux.HandleFunc("GET /tenant/{fabric}/{id}/weight", s.handleTenantWeight)
 	s.mux.HandleFunc("GET /tenant/{fabric}/{id}/subsetsum", s.handleTenantSubsetSum)
 	return s
 }
@@ -823,24 +821,6 @@ func (s *Server) handleTenantSize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]uint64{"size": n})
-}
-
-func (s *Server) handleTenantWeight(w http.ResponseWriter, r *http.Request) {
-	f, ok := s.fabricFor(w, r)
-	if !ok {
-		return
-	}
-	at, err := atParam(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	wt, err := f.Weight(r.PathValue("id"), at)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]float64{"weight": wt})
 }
 
 func (s *Server) handleTenantSubsetSum(w http.ResponseWriter, r *http.Request) {

@@ -99,7 +99,7 @@ type Fabric struct {
 	// weights on a weight-function substrate, /size on a sampler without an
 	// oracle) are refused without creating the tenant, and a flag that is
 	// set makes the tenant call's view assertion safe.
-	weightedOK, sampleOK, sampleAtOK, sizeOK, weightOK, estAtOK, estOK bool
+	weightedOK, sampleOK, sampleAtOK, sizeOK, estAtOK, estOK bool
 
 	maxTenants int64
 	live       atomic.Int64
@@ -150,16 +150,12 @@ func NewFabric(spec Spec, maxTenants int) (*Fabric, error) {
 	}
 	resolved := spec
 	resolved.Seed = substrate.ResolveSeed(spec.Seed)
-	// A tenant's weight view is weightView alone: caps.weigher's other
-	// form (TotalWeight) exists only on sharded substrates, refused above.
-	_, weightOK := probe.(weightView)
 	f := &Fabric{
 		spec:       resolved,
 		weightedOK: pc.weighted != nil,
 		sampleOK:   pc.plain != nil,
 		sampleAtOK: pc.timed != nil,
 		sizeOK:     pc.sizer != nil,
-		weightOK:   weightOK,
 		estAtOK:    pc.estAt != nil,
 		estOK:      pc.est != nil,
 		maxTenants: int64(maxTenants),
@@ -402,25 +398,6 @@ func (f *Fabric) Size(id string, at *int64) (uint64, error) {
 		return 0, err
 	}
 	return tn.ing.(sizeView).SizeAt(now), nil
-}
-
-// Weight answers /tenant/{id}/weight: the (1±ε) active-weight total, on the
-// substrates that carry a weight oracle.
-func (f *Fabric) Weight(id string, at *int64) (float64, error) {
-	tn, err := f.tenantFor(id, false)
-	if err != nil {
-		return 0, err
-	}
-	if !f.weightOK {
-		return 0, ErrUnsupported
-	}
-	tn.mu.Lock()
-	defer tn.mu.Unlock()
-	now, err := tn.queryClock(f.seqMode(), at, false)
-	if err != nil {
-		return 0, err
-	}
-	return tn.ing.(weightView).TotalWeightAt(now), nil
 }
 
 // SubsetSum answers /tenant/{id}/subsetsum: the Horvitz–Thompson estimate

@@ -124,12 +124,16 @@ func TestTenantSeqModeAndCapabilityGaps(t *testing.T) {
 	wantStatus(t, code, http.StatusBadRequest, body)
 	code, body = get(t, ts.URL+"/tenant/fab/u1/sample")
 	wantStatus(t, code, http.StatusOK, body)
-	// A uniform sampler has no weight oracle, no size oracle, no estimator,
-	// and takes no explicit weights.
-	for _, ep := range []string{"size", "weight", "subsetsum"} {
+	// A uniform sampler has no size oracle, no estimator, and takes no
+	// explicit weights.
+	for _, ep := range []string{"size", "subsetsum"} {
 		code, body = get(t, ts.URL+"/tenant/fab/u1/"+ep)
 		wantStatus(t, code, http.StatusBadRequest, body)
 	}
+	// No tenant answers a weight query (only sharded substrates carry a
+	// weight oracle, and fabrics refuse them), so the route does not exist.
+	code, body = get(t, ts.URL+"/tenant/fab/u1/weight")
+	wantStatus(t, code, http.StatusNotFound, body)
 	code, body = post(t, ts.URL+"/tenant/fab/u1/ingest", `{"values":["d"],"weights":[2]}`)
 	wantStatus(t, code, http.StatusBadRequest, body)
 }
