@@ -74,10 +74,9 @@ type shardBatch[T any] struct {
 	weights []float64
 }
 
-// freeSlices bounds each shard's free list of handed-back batch slices.
-// Two per shard retain at most 2·G slices, as many as the two G-slice
-// buffer generations dealing kept before the free lists, and on a 2-vCPU
-// box they served 99.3–99.7% of the flows-durable and bulk-ndjson serving
+// freeSlices bounds each shard's free list of handed-back batch slices, so
+// a dispatcher retains at most 2·G slices. On a 2-vCPU box two per shard
+// served 99.3–99.6% of the flows-durable and bulk-ndjson serving
 // workloads' shard slices (CHANGES.md has the measured shares). Slices
 // handed back to a full list are dropped.
 const freeSlices = 2
