@@ -134,13 +134,13 @@ bench-batch:
 swbench-quick:
 	$(GO) run ./cmd/swbench -quick
 
-# Benchmark smoke: the key batched-ingest, HTTP and shard-query
-# benchmarks, then the tenant ingest/footprint benchmarks with -short
-# (skips the 1M population), one iteration each. Verifies the perf
-# machinery runs, not that it is fast; swperf-smoke drives the serving
-# routes themselves under load.
+# Benchmark smoke: the key batched-ingest, HTTP, shard-query, request
+# decode and WAL encode benchmarks, then the tenant ingest/footprint
+# benchmarks with -short (skips the 1M population), one iteration each.
+# Verifies the perf machinery runs, not that it is fast; swperf-smoke
+# drives the serving routes themselves under load.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkHTTP|BenchmarkBatch_|SampleAt' -benchtime 1x ./internal/serve/ .
+	$(GO) test -run xxx -bench 'BenchmarkHTTP|BenchmarkBatch_|SampleAt|BenchmarkIngestDecode|BenchmarkWALEncode' -benchtime 1x ./internal/serve/ .
 	$(GO) test -run xxx -bench 'BenchmarkTenant' -benchtime 1x -short ./internal/serve/
 
 # The benchmark's per-layer ladder (BENCHMARK.json, cmd/swperf --trace 1)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -203,7 +204,8 @@ func wireBenchBody(n int, ndjson bool) []byte {
 }
 
 // BenchmarkIngestDecode times the request-decode rung alone: one ingest body
-// through decodeIngestBody, as the handler runs it.
+// through decodeIngestBody, as the handler runs it, and a WAL batch's lines
+// through decodeWALRecord, as replay runs them.
 func BenchmarkIngestDecode(b *testing.B) {
 	for _, tc := range []struct {
 		name   string
@@ -214,7 +216,7 @@ func BenchmarkIngestDecode(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				req := httptest.NewRequest(http.MethodPost, "/ingest/bench", strings.NewReader(string(body)))
+				req := httptest.NewRequest(http.MethodPost, "/ingest/bench", bytes.NewReader(body))
 				if tc.ndjson {
 					req.Header.Set("Content-Type", "application/x-ndjson")
 				}
@@ -224,21 +226,47 @@ func BenchmarkIngestDecode(b *testing.B) {
 			}
 		})
 	}
+	wal, err := encodeWALBatch(walBenchBatch())
+	if err != nil {
+		b.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(wal, []byte("\n")), []byte("\n"))
+	b.Run("wal-200", func(b *testing.B) {
+		b.ReportAllocs()
+		var rec wireRecord
+		for i := 0; i < b.N; i++ {
+			for _, line := range lines {
+				if err := decodeWALRecord(line, &rec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }
 
-// BenchmarkWALEncode times the WAL-encode rung alone: one 200-event weighted
-// timestamped batch rendered as Record lines.
-func BenchmarkWALEncode(b *testing.B) {
+// walBenchBatch is one 200-event weighted timestamped batch in the shape of
+// wireBenchBody, ready for encodeWALBatch.
+func walBenchBatch() ([]stream.Element[string], []float64, bool) {
 	elems := make([]stream.Element[string], 200)
 	weights := make([]float64, len(elems))
 	for i := range elems {
 		elems[i] = stream.Element[string]{Value: fmt.Sprintf("k%x", i*2654435761%1000003), TS: int64(1700000000 + i/50)}
 		weights[i] = float64(i%9 + 1)
 	}
+	return elems, weights, true
+}
+
+// BenchmarkWALEncode times the WAL-encode rung alone: one 200-event weighted
+// timestamped batch rendered as Record lines into a recycled buffer, which
+// goes back to walBufs as the admission path puts it back.
+func BenchmarkWALEncode(b *testing.B) {
+	elems, weights, withTS := walBenchBatch()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := encodeWALBatch(elems, weights, true); err != nil {
+		buf, err := encodeWALBatch(elems, weights, withTS)
+		if err != nil {
 			b.Fatal(err)
 		}
+		walBufs.Put(buf)
 	}
 }

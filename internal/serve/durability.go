@@ -404,6 +404,7 @@ func (sd *StateDir) replayWAL(in *Instance, name string, skip uint64) error {
 	sc.Buffer(make([]byte, initialNDJSONBufBytes), maxNDJSONLineBytes)
 	var n uint64
 	var run walRun
+	var rec wireRecord
 	var torn error
 	for sc.Scan() {
 		raw := bytes.TrimSpace(sc.Bytes())
@@ -414,8 +415,7 @@ func (sd *StateDir) replayWAL(in *Instance, name string, skip uint64) error {
 			return fmt.Errorf("serve: corrupt wal record %d for %q: %v", n, name, torn)
 		}
 		n++
-		rec, err := decodeWALRecord(raw)
-		if err != nil {
+		if err := decodeWALRecord(raw, &rec); err != nil {
 			if n <= skip {
 				return fmt.Errorf("serve: corrupt wal record %d for %q (covered by the snapshot): %v", n, name, err)
 			}
@@ -429,7 +429,7 @@ func (sd *StateDir) replayWAL(in *Instance, name string, skip uint64) error {
 			if err := run.replay(in, name); err != nil {
 				return err
 			}
-			run = walRun{}
+			run.reset()
 		}
 		run.add(rec, n)
 	}
@@ -449,7 +449,9 @@ func (sd *StateDir) replayWAL(in *Instance, name string, skip uint64) error {
 // presence, replayed as one ingest batch of at most stream.MaxRecycledCap
 // records. ObserveBatch is sample-path identical to looping Observe
 // (DESIGN.md §3), so where a replay cuts its batches changes nothing in the
-// recovered state; it only saves the per-batch admission cost.
+// recovered state; it only saves the per-batch admission cost. Ingest
+// stages its own copy of a run, so one walRun's slices serve every run of a
+// replay.
 type walRun struct {
 	values      []string
 	tss         []int64
@@ -477,15 +479,19 @@ func (r *walRun) add(rec wireRecord, n uint64) {
 	}
 }
 
+// reset empties the run for the next one, keeping its slices.
+func (r *walRun) reset() {
+	*r = walRun{values: r.values[:0], tss: r.tss[:0], ws: r.ws[:0]}
+}
+
 // replay ingests the run, waiting out transient staging backpressure (the
-// applier drains concurrently during replay). The staged batch keeps the
-// weights slice, so a run's slices are never reused for the next run.
+// applier drains concurrently during replay).
 func (r *walRun) replay(in *Instance, name string) error {
 	if len(r.values) == 0 {
 		return nil
 	}
 	for {
-		_, err := in.Ingest(r.values, r.tss, r.ws)
+		_, err := in.Ingest(r.values, fieldOf(r.tss, r.hasTS), fieldOf(r.ws, r.hasW))
 		if errors.Is(err, ErrOverloaded) {
 			time.Sleep(time.Millisecond)
 			continue

@@ -12,6 +12,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -141,6 +142,102 @@ func TestNDJSONLineBoundary(t *testing.T) {
 		if rec.Code != tc.status || count != want {
 			t.Errorf("line of %d bytes (newline %v): status %d count %d, want %d count %d",
 				n, tc.newline, rec.Code, count, tc.status, want)
+		}
+	}
+}
+
+// lazyBody generates a request body as it is read: head, then n bytes of
+// fill repeated, then tail. A body past maxBodyBytes costs the test no
+// buffer of its own.
+type lazyBody struct {
+	head, fill, tail []byte
+	n, off           int // fill bytes left, position in fill
+}
+
+func (b *lazyBody) Read(p []byte) (int, error) {
+	k := 0
+	for k < len(p) {
+		switch {
+		case len(b.head) > 0:
+			c := copy(p[k:], b.head)
+			b.head = b.head[c:]
+			k += c
+		case b.n > 0:
+			c := copy(p[k:min(len(p), k+b.n)], b.fill[b.off:])
+			b.off = (b.off + c) % len(b.fill)
+			b.n -= c
+			k += c
+		case len(b.tail) > 0:
+			c := copy(p[k:], b.tail)
+			b.tail = b.tail[c:]
+			k += c
+		default:
+			if k == 0 {
+				return 0, io.EOF
+			}
+			return k, nil
+		}
+	}
+	return k, nil
+}
+
+// TestIngestBodyOverCap: an ingest body that runs past maxBodyBytes answers
+// 413 and ingests nothing, on both routes and in both formats — including
+// an NDJSON body whose cut falls inside a record, which the scanner hands
+// to the decoder before it reports the read error, and a JSON body that
+// holds a complete batch before the cut.
+func TestIngestBodyOverCap(t *testing.T) {
+	blankLine := append(bytes.Repeat([]byte(" "), 1023), '\n')
+	cases := []struct {
+		name   string
+		ndjson bool
+		body   func() *lazyBody
+	}{
+		{"ndjson record cut by the cap", true, func() *lazyBody {
+			return &lazyBody{fill: blankLine, n: maxBodyBytes - 40,
+				tail: []byte("\n" + `{"value":"` + strings.Repeat("x", 100) + `"}` + "\n")}
+		}},
+		{"ndjson records past the cap", true, func() *lazyBody {
+			return &lazyBody{fill: []byte(`{"value":"a"}` + "\n"), n: maxBodyBytes + 1}
+		}},
+		{"json batch then padding past the cap", false, func() *lazyBody {
+			return &lazyBody{head: []byte(`{"values":["a"]}`), fill: []byte(" "), n: maxBodyBytes}
+		}},
+		{"json array past the cap", false, func() *lazyBody {
+			return &lazyBody{head: []byte(`{"values":[`), fill: []byte(`"x",`), n: maxBodyBytes}
+		}},
+	}
+	for _, tc := range cases {
+		// Single-goroutine; under -race its whole-body JSON read buffer
+		// would cost the detector's shadow memory for nothing.
+		if raceEnabled && !tc.ndjson {
+			continue
+		}
+		for _, path := range []string{"/ingest/seq", "/tenant/fab/t/ingest"} {
+			s := NewServer()
+			inst, err := s.Register("seq", fuzzIngestTargets[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := s.RegisterFabric("fab", fuzzIngestTargets[0], 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := httptest.NewRequest(http.MethodPost, path, tc.body())
+			if tc.ndjson {
+				req.Header.Set("Content-Type", "application/x-ndjson")
+			}
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, req)
+			count, _, _, _ := inst.Stats()
+			tenant, _ := f.Count("t")
+			s.Close()
+			if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), "request body too large") {
+				t.Errorf("%s on %s: %d %s, want 413 naming the cap", tc.name, path, rec.Code, rec.Body)
+			}
+			if count != 0 || tenant != 0 {
+				t.Errorf("%s on %s: ingested %d and %d events from a refused body", tc.name, path, count, tenant)
+			}
 		}
 	}
 }

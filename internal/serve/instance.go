@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"slidingsample/internal/slab"
 	"slidingsample/internal/stream"
 )
 
@@ -27,12 +28,33 @@ const (
 	maxQueuedBatches = 4096
 )
 
+// The batch pools: the element batches both registries build from a
+// request, and the weights a named Instance stages. Every substrate consumes
+// a batch within its ObserveBatch call and retains only element values (the
+// sharded ones deal copies to their shards), so a batch's slices recycle as
+// soon as it is applied.
+var (
+	batchElems   = slab.NewSlicePool[stream.Element[string]](stream.MaxRecycledCap)
+	batchWeights = slab.NewSlicePool[float64](stream.MaxRecycledCap)
+)
+
 // stagedBatch is one admitted-but-unapplied ingest batch: the element
 // slice ready for ObserveBatch, plus the explicit weights when the request
-// carried them.
+// carried them. Both are Ingest's own copies, taken from the batch pools;
+// the instance owns them from admission until applyLocked, once the
+// substrate has consumed them, puts them back.
 type stagedBatch struct {
 	elems   []stream.Element[string]
 	weights []float64
+}
+
+// release puts a batch's slices back into the batch pools, which clear
+// them.
+func (b stagedBatch) release() {
+	batchElems.Put(b.elems)
+	if b.weights != nil {
+		batchWeights.Put(b.weights)
+	}
 }
 
 // caps holds a built substrate behind its capability views. The registry
@@ -242,8 +264,10 @@ func (in *Instance) drainLocked() {
 	in.applyLocked(batches)
 }
 
-// applyLocked (mu held) feeds dequeued batches to the substrate in order
-// and publishes the new applied sequence to waiting oracle readers.
+// applyLocked (mu held) feeds dequeued batches to the substrate in order,
+// returns their slices to the batch pools, and publishes the new applied
+// sequence to waiting oracle readers. Every drain, query, snapshot and close
+// applies through here.
 func (in *Instance) applyLocked(batches []stagedBatch) {
 	if len(batches) == 0 {
 		return
@@ -255,6 +279,7 @@ func (in *Instance) applyLocked(batches []stagedBatch) {
 		} else {
 			in.ing.ObserveBatch(b.elems)
 		}
+		b.release()
 	}
 	in.statsClean.Store(false)
 	in.qmu.Lock()
@@ -314,7 +339,8 @@ func checkBatch(seqMode, weightsOK bool, values []string, timestamps []int64, we
 // the next draining query) applies staged batches in admission order,
 // which is what keeps the draws byte-identical to a sequential run over
 // the same admission order. A full staging queue is an explicit
-// ErrOverloaded (HTTP 503), never unbounded memory.
+// ErrOverloaded (HTTP 503), never unbounded memory. What it stages is its
+// own copy, so the caller's slices are reusable on return.
 func (in *Instance) Ingest(values []string, timestamps []int64, weights []float64) (uint64, error) {
 	first, lastTS, err := checkBatch(in.seqMode(), in.weighted != nil, values, timestamps, weights)
 	if err != nil {
@@ -328,23 +354,35 @@ func (in *Instance) Ingest(values []string, timestamps []int64, weights []float6
 		}
 		return in.events, nil
 	}
-	elems := make([]stream.Element[string], len(values))
+	b := stagedBatch{elems: batchElems.Get(len(values))}
 	for i, v := range values {
-		elems[i] = stream.Element[string]{Value: v}
+		b.elems[i] = stream.Element[string]{Value: v}
 		if timestamps != nil {
-			elems[i].TS = timestamps[i]
+			b.elems[i].TS = timestamps[i]
 		}
+	}
+	if weights != nil {
+		b.weights = batchWeights.Get(len(weights))
+		copy(b.weights, weights)
 	}
 	// Encode the WAL records outside the locks; admit appends them under
 	// qmu so the log order IS the admission order.
 	var walBuf []byte
 	if in.wal != nil {
-		walBuf, err = encodeWALBatch(elems, weights, !in.seqMode())
+		walBuf, err = encodeWALBatch(b.elems, b.weights, !in.seqMode())
 		if err != nil {
+			b.release()
 			return 0, err
 		}
 	}
-	return in.admit(elems, weights, first, lastTS, walBuf)
+	count, err := in.admit(b, first, lastTS, walBuf)
+	if walBuf != nil {
+		walBufs.Put(walBuf)
+	}
+	if err != nil {
+		b.release()
+	}
+	return count, err
 }
 
 // admit is Ingest's single qmu section: capacity and clock checks, then
@@ -352,13 +390,13 @@ func (in *Instance) Ingest(values []string, timestamps []int64, weights []float6
 // covers every rejection branch (the lockorder split-unlock rule); defer
 // costs nanoseconds against a batch admission, so the hot path permits
 // it.
-func (in *Instance) admit(elems []stream.Element[string], weights []float64, first, lastTS int64, walBuf []byte) (uint64, error) {
+func (in *Instance) admit(b stagedBatch, first, lastTS int64, walBuf []byte) (uint64, error) {
 	in.qmu.Lock()
 	defer in.qmu.Unlock()
 	if in.closed {
 		return 0, ErrClosed
 	}
-	if in.queuedEvents+len(elems) > in.queueCap || len(in.queue) >= maxQueuedBatches {
+	if in.queuedEvents+len(b.elems) > in.queueCap || len(in.queue) >= maxQueuedBatches {
 		return 0, ErrOverloaded
 	}
 	if !in.seqMode() && in.begun && first < in.last {
@@ -375,10 +413,10 @@ func (in *Instance) admit(elems []stream.Element[string], weights []float64, fir
 	if !in.seqMode() {
 		in.last, in.begun = lastTS, true
 	}
-	in.queue = append(in.queue, stagedBatch{elems: elems, weights: weights})
-	in.queuedEvents += len(elems)
+	in.queue = append(in.queue, b)
+	in.queuedEvents += len(b.elems)
 	in.admittedSeq++
-	in.events += uint64(len(elems))
+	in.events += uint64(len(b.elems))
 	total := in.events
 	in.workCond.Signal()
 	return total, nil

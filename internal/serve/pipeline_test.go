@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -275,5 +277,128 @@ func TestPipelinedConcurrentProducers(t *testing.T) {
 	count, _, _, _ := inst.Stats()
 	if want := uint64(producers * rounds * perBatch); count != want {
 		t.Fatalf("final count %d, want %d", count, want)
+	}
+}
+
+// TestPooledStagingMatchesPrivateCopies: on every registrable substrate, an
+// Instance whose ingest stages pooled copies — fed from one scratch set
+// that is overwritten as soon as each Ingest returns, with several batches
+// staged behind a pinned application lock — answers every query exactly
+// as the same spec fed private copies directly, and ends in byte-identical
+// substrate state. A staged slice that aliased the caller's scratch, or a
+// pooled slice recycled before its batch was applied, diverges here.
+func TestPooledStagingMatchesPrivateCopies(t *testing.T) {
+	const batch = 7
+	for _, spec := range fuzzSpecs() {
+		t.Run(spec.Mode+"/"+spec.Sampler, func(t *testing.T) {
+			s := NewServer()
+			defer s.Close()
+			inst, err := s.Register("p", spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			built, _, err := substrate.New(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct := wireCaps(built)
+			if direct.closer != nil {
+				defer direct.closer()
+			}
+			pred := func(v string) bool { return strings.HasPrefix(v, "v1") }
+			answer := func(now int64) string {
+				if direct.barrier != nil {
+					direct.barrier()
+				}
+				switch {
+				case direct.plain != nil && spec.Mode == "seq":
+					es, ok := direct.plain.Sample()
+					return fmt.Sprint(es, ok)
+				case direct.timed != nil:
+					es, ok := direct.timed.SampleAt(now)
+					return fmt.Sprint(es, ok)
+				case direct.estAt != nil && spec.Mode == "ts":
+					v, ok := direct.estAt(now, pred)
+					return fmt.Sprint(v, ok)
+				}
+				v, ok := direct.est(pred)
+				return fmt.Sprint(v, ok)
+			}
+			served := func() string {
+				if inst.plain != nil {
+					es, ok, err := inst.Sample(nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return fmt.Sprint(es, ok)
+				}
+				v, ok, err := inst.SubsetSum(nil, pred)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return fmt.Sprint(v, ok)
+			}
+			values := make([]string, batch)
+			var timestamps []int64
+			if spec.Mode == "ts" {
+				timestamps = make([]int64, batch)
+			}
+			var weights []float64
+			if direct.weighted != nil {
+				weights = make([]float64, batch)
+			}
+			idx := 0
+			for round := 0; round < 6; round++ {
+				inst.mu.Lock()
+				for b := 0; b < 3; b++ {
+					elems := make([]stream.Element[string], batch)
+					for i := range values {
+						values[i] = fmt.Sprintf("v%d w%d", idx, idx%5)
+						elems[i].Value = values[i]
+						if timestamps != nil {
+							timestamps[i] = int64(idx / 3)
+							elems[i].TS = timestamps[i]
+						}
+						if weights != nil {
+							weights[i] = float64(idx%7) + 0.5
+						}
+						idx++
+					}
+					if _, err := inst.Ingest(values, timestamps, weights); err != nil {
+						inst.mu.Unlock()
+						t.Fatal(err)
+					}
+					if weights != nil {
+						direct.weighted.ObserveWeightedBatch(elems, slices.Clone(weights))
+					} else {
+						direct.ing.ObserveBatch(elems)
+					}
+					for i := range values {
+						values[i] = "overwritten"
+						if weights != nil {
+							weights[i] = 1e9
+						}
+					}
+				}
+				inst.mu.Unlock()
+				now := int64(0)
+				if timestamps != nil {
+					now = timestamps[batch-1]
+				}
+				if got, want := served(), answer(now); got != want {
+					t.Fatalf("round %d: instance answered %s, direct %s", round, got, want)
+				}
+			}
+			var got, want bytes.Buffer
+			if err := inst.Snapshot(&got); err != nil {
+				t.Fatal(err)
+			}
+			if err := substrate.Snapshot(&want, spec, built); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.HasSuffix(got.Bytes(), want.Bytes()) {
+				t.Fatalf("the instance's substrate snapshot differs from the directly fed one")
+			}
+		})
 	}
 }

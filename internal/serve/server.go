@@ -311,11 +311,11 @@ type errResponse struct {
 // statusFor maps serving-layer errors onto HTTP statuses: requests that
 // can never succeed are 400, missing names 404, requests that conflict
 // with the instance's current stream state (clocks, shutdown) 409, an
-// oversized NDJSON line 413 (split the batch), a failed WAL append 500 (the
-// batch was not admitted, and the request itself was fine), transient
-// overload — a full ingest staging queue — 503 (retryable), and an
-// exhausted tenant budget 507 (the operator capped the fabric's memory;
-// retrying will not help).
+// oversized NDJSON line or a body over its read cap 413 (split the batch),
+// a failed WAL append 500 (the batch was not admitted, and the request
+// itself was fine), transient overload — a full ingest staging queue — 503
+// (retryable), and an exhausted tenant budget 507 (the operator capped the
+// fabric's memory; retrying will not help).
 func statusFor(err error) int {
 	switch {
 	case errors.Is(err, ErrWALWrite):
@@ -326,7 +326,7 @@ func statusFor(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, ErrOverloaded):
 		return http.StatusServiceUnavailable
-	case errors.Is(err, ErrLineTooLong):
+	case errors.Is(err, ErrLineTooLong), tooLarge(err):
 		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrTenantBudget):
 		return http.StatusInsufficientStorage
@@ -449,31 +449,77 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	req, _, err := decodeIngestBody(r, IngestRequest{})
+	serveIngest(w, r, inst.Ingest)
+}
+
+// Ingest request scratch, shared by both ingest routes: the decoded
+// values/timestamps/weights slices are dead the moment the ingest call
+// returns — the fabric copies them into its own element batch, and an
+// Instance copies what it stages — so they recycle per request.
+var (
+	ingestValuesPool  = slab.NewSlicePool[string](stream.MaxRecycledCap)
+	ingestTSPool      = slab.NewSlicePool[int64](stream.MaxRecycledCap)
+	ingestWeightsPool = slab.NewSlicePool[float64](stream.MaxRecycledCap)
+)
+
+// serveIngest is the request half both ingest routes share: decode the body
+// into pooled scratch, hand the batch to ingest (absent fields nil), write
+// the acknowledgement or the error, and recycle the scratch.
+func serveIngest(w http.ResponseWriter, r *http.Request, ingest func(values []string, timestamps []int64, weights []float64) (uint64, error)) {
+	req, has, err := decodeIngestBody(r, IngestRequest{
+		Values:     ingestValuesPool.Get(0),
+		Timestamps: ingestTSPool.Get(0),
+		Weights:    ingestWeightsPool.Get(0),
+	})
+	if err == nil {
+		var count uint64
+		count, err = ingest(req.Values, fieldOf(req.Timestamps, has.timestamps), fieldOf(req.Weights, has.weights))
+		if err == nil {
+			writeIngested(w, len(req.Values), count)
+		}
+	}
 	if err != nil {
 		writeErr(w, err)
-		return
 	}
-	count, err := inst.Ingest(req.Values, req.Timestamps, req.Weights)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, IngestResponse{Ingested: len(req.Values), Count: count})
+	ingestValuesPool.Put(req.Values)
+	ingestTSPool.Put(req.Timestamps)
+	ingestWeightsPool.Put(req.Weights)
+}
+
+// writeIngested writes the IngestResponse acknowledgement with the bytes
+// writeJSON would: {"ingested":N,"count":M} and a newline.
+func writeIngested(w http.ResponseWriter, ingested int, count uint64) {
+	b := make([]byte, 0, 64)
+	b = append(b, `{"ingested":`...)
+	b = strconv.AppendInt(b, int64(ingested), 10)
+	b = append(b, `,"count":`...)
+	b = strconv.AppendUint(b, count, 10)
+	b = append(b, "}\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b)
 }
 
 // ingestFields records which optional fields an ingest body carried. From
 // the zero IngestRequest a decoded field is non-nil exactly when present;
-// decoded into recycled slices it stays non-nil either way, so the tenant
-// handler reads presence here.
+// decoded into recycled slices it stays non-nil either way, so the ingest
+// routes read presence here.
 type ingestFields struct{ timestamps, weights bool }
+
+// fieldOf is the batch rule for one decoded field: nil when the body did
+// not carry it.
+func fieldOf[T any](s []T, present bool) []T {
+	if !present {
+		return nil
+	}
+	return s
+}
 
 // decodeIngestBody parses an ingest request body — NDJSON under
 // Content-Type application/x-ndjson, a JSON IngestRequest otherwise —
-// appending into the slices req arrives with (the tenant handlers pass
-// slab-recycled scratch; the named path passes the zero value), and reports
-// which optional fields the body carried. Both go through the wire codec
-// (wire.go).
+// appending into the slices req arrives with (the routes pass slab-recycled
+// scratch), and reports which optional fields the body carried. Both go
+// through the wire codec (wire.go).
 func decodeIngestBody(r *http.Request, req IngestRequest) (IngestRequest, ingestFields, error) {
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/x-ndjson") {
 		return parseNDJSON(r, req)
@@ -504,25 +550,32 @@ func parseNDJSON(r *http.Request, req IngestRequest) (IngestRequest, ingestField
 	sc.Buffer(buf, maxNDJSONLineBytes)
 	line := 0
 	var hasTS, hasW bool
+	var rec wireRecord
 	for sc.Scan() {
 		raw := bytes.TrimSpace(sc.Bytes())
 		line++
 		if len(raw) == 0 {
 			continue
 		}
-		rec, err := decodeNDJSONRecord(raw)
-		if err != nil {
-			return req, ingestFields{}, fmt.Errorf("serve: bad NDJSON record on line %d: %w", line, err)
-		}
-		if len(req.Values) == 0 {
+		err := decodeNDJSONRecord(raw, &rec)
+		switch {
+		case err != nil:
+			err = fmt.Errorf("serve: bad NDJSON record on line %d: %w", line, err)
+		case len(req.Values) == 0:
 			hasTS, hasW = rec.hasTS, rec.hasW
-		} else {
-			if rec.hasTS != hasTS {
-				return req, ingestFields{}, fmt.Errorf("serve: ragged NDJSON batch: line %d switches ts presence", line)
+		case rec.hasTS != hasTS:
+			err = fmt.Errorf("serve: ragged NDJSON batch: line %d switches ts presence", line)
+		case rec.hasW != hasW:
+			err = fmt.Errorf("serve: ragged NDJSON batch: line %d switches weight presence", line)
+		}
+		if err != nil {
+			// The scanner hands over the tail it holds before it reports
+			// the read error that cut the body, so a record that fails
+			// once that error is pending reports the error instead.
+			if sc.Err() != nil {
+				break
 			}
-			if rec.hasW != hasW {
-				return req, ingestFields{}, fmt.Errorf("serve: ragged NDJSON batch: line %d switches weight presence", line)
-			}
+			return req, ingestFields{}, err
 		}
 		req.Values = append(req.Values, rec.value)
 		if rec.hasTS {
@@ -686,17 +739,6 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 // Fabric handlers
 // ---------------------------------------------------------------------------
 
-// Tenant request scratch: the decoded values/timestamps/weights slices are
-// dead the moment the fabric call returns (the fabric copies into its own
-// slab-recycled element batch and the substrates retain only the values),
-// so they recycle per request. The named-instance path cannot share this —
-// its pipelined admission RETAINS the batch in the staging queue.
-var (
-	tenantValuesPool  = slab.NewSlicePool[string](stream.MaxRecycledCap)
-	tenantTSPool      = slab.NewSlicePool[int64](stream.MaxRecycledCap)
-	tenantWeightsPool = slab.NewSlicePool[float64](stream.MaxRecycledCap)
-)
-
 func (s *Server) fabricFor(w http.ResponseWriter, r *http.Request) (*Fabric, bool) {
 	f, ok := s.GetFabric(r.PathValue("fabric"))
 	if !ok {
@@ -746,41 +788,16 @@ func (s *Server) handleFabricRegister(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleTenantIngest is handleIngest against a fabric tenant, with the
-// request scratch recycled through the tenant slab pools (a million thin
-// writers must not allocate three slices per request).
+// handleTenantIngest is handleIngest against a fabric tenant.
 func (s *Server) handleTenantIngest(w http.ResponseWriter, r *http.Request) {
 	f, ok := s.fabricFor(w, r)
 	if !ok {
 		return
 	}
-	req, has, err := decodeIngestBody(r, IngestRequest{
-		Values:     tenantValuesPool.Get(0),
-		Timestamps: tenantTSPool.Get(0),
-		Weights:    tenantWeightsPool.Get(0),
+	id := r.PathValue("id")
+	serveIngest(w, r, func(values []string, timestamps []int64, weights []float64) (uint64, error) {
+		return f.Ingest(id, values, timestamps, weights)
 	})
-	if err == nil {
-		// The named route's batch rule: a field the body did not carry is
-		// nil. The pooled slices still go back to the pools below.
-		ts, ws := req.Timestamps, req.Weights
-		if !has.timestamps {
-			ts = nil
-		}
-		if !has.weights {
-			ws = nil
-		}
-		var count uint64
-		count, err = f.Ingest(r.PathValue("id"), req.Values, ts, ws)
-		if err == nil {
-			writeJSON(w, http.StatusOK, IngestResponse{Ingested: len(req.Values), Count: count})
-		}
-	}
-	if err != nil {
-		writeErr(w, err)
-	}
-	tenantValuesPool.Put(req.Values)
-	tenantTSPool.Put(req.Timestamps)
-	tenantWeightsPool.Put(req.Weights)
 }
 
 func (s *Server) handleTenantSample(w http.ResponseWriter, r *http.Request) {

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"slidingsample/internal/slab"
 	"slidingsample/internal/stream"
 	"slidingsample/internal/substrate"
 	"slidingsample/internal/xrand"
@@ -105,10 +104,6 @@ type Fabric struct {
 	live       atomic.Int64
 	closed     atomic.Bool
 	stripes    [tenantStripes]tenantStripe
-
-	// elems recycles the per-request element scratch under the repo-wide
-	// MaxRecycledCap discipline.
-	elems *slab.SlicePool[stream.Element[string]]
 }
 
 // NewFabric validates the template and returns an empty fabric. maxTenants
@@ -159,7 +154,6 @@ func NewFabric(spec Spec, maxTenants int) (*Fabric, error) {
 		estAtOK:    pc.estAt != nil,
 		estOK:      pc.est != nil,
 		maxTenants: int64(maxTenants),
-		elems:      slab.NewSlicePool[stream.Element[string]](stream.MaxRecycledCap),
 	}
 	for i := range f.stripes {
 		f.stripes[i].m = make(map[string]*tenant)
@@ -285,7 +279,7 @@ func (f *Fabric) Ingest(id string, values []string, timestamps []int64, weights 
 		defer tn.mu.Unlock()
 		return tn.events, nil
 	}
-	elems := f.elems.Get(len(values))
+	elems := batchElems.Get(len(values))
 	for i, v := range values {
 		elems[i] = stream.Element[string]{Value: v}
 		if timestamps != nil {
@@ -294,13 +288,13 @@ func (f *Fabric) Ingest(id string, values []string, timestamps []int64, weights 
 	}
 	tn, err := f.tenantFor(id, true)
 	if err != nil {
-		f.elems.Put(elems)
+		batchElems.Put(elems)
 		return 0, err
 	}
 	count, err := tn.apply(f.seqMode(), elems, weights, first, lastTS)
 	// The substrates consume the batch synchronously and retain only the
 	// element values, so the scratch recycles the moment apply returns.
-	f.elems.Put(elems)
+	batchElems.Put(elems)
 	return count, err
 }
 

@@ -3,9 +3,12 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"net/http"
+	"slices"
 	"strconv"
 	"unicode/utf8"
 
@@ -17,13 +20,17 @@ import (
 // knows the byte shape of a JSON batch body, an NDJSON Record line and a WAL
 // line.
 //
-// Decoding is a recognizer in front of encoding/json. The recognizers accept
-// only the canonical form — exact lowercase keys, each at most once; strings
-// without escapes, control bytes or invalid UTF-8; numbers in the JSON
-// grammar, converted with the same strconv calls encoding/json uses — and
-// decline everything else, which then goes through encoding/json unchanged.
-// encoding/json therefore stays the single definition of what is accepted,
-// of nil versus empty slices, and of every error message; on the inputs a
+// Decoding is two recognizer tiers in front of encoding/json. The first
+// reads the compact form — the bytes appendRecord writes to the WAL, and
+// what most encoders send — in one straight pass. The second, a token walk,
+// accepts the canonical form: exact lowercase keys in any order, each at
+// most once, and whitespace anywhere JSON allows it. Both take only strings
+// without escapes, control bytes or invalid UTF-8, and numbers in the JSON
+// grammar, converted as encoding/json converts them. A tier declines at the
+// first byte that does not fit, and the next one starts over; what the walk
+// declines goes through encoding/json unchanged. encoding/json therefore
+// stays the single definition of what is accepted, of nil versus empty
+// slices, of float bits and of every error message; on the inputs a
 // recognizer accepts its output is what encoding/json would have produced
 // (FuzzIngestDecodeDiff checks exactly that).
 //
@@ -46,7 +53,166 @@ type wireRecord struct {
 var wireBufs = slab.NewSlicePool[byte](maxNDJSONLineBytes)
 
 // ---------------------------------------------------------------------------
-// Canonical-form recognizers
+// First tier: the compact form
+// ---------------------------------------------------------------------------
+
+// The compact form is a canonical text with no whitespace and its keys in
+// one order: {"value":"…"[,"ts":N][,"weight":N]} for a Record line and
+// {"values":[…][,"timestamps":[…]][,"weights":[…]]} for a batch body. An
+// integral literal of at most 15 digits (18 for an int64) converts exactly
+// in the digit loop; -0, fractions, exponents and longer literals go
+// through strconv as encoding/json's do. The keys are compared as inline
+// constants, not through a helper taking the key, which the compiler would
+// turn into a memequal call per key.
+
+// digitRun reads -?[0-9]* at b[i:] and returns its magnitude (exact up to
+// 19 digits), its sign, its digit count and its end. A run the JSON grammar
+// refuses as an integer part, empty or with a leading zero, counts 0
+// digits.
+func digitRun(b []byte, i int) (u uint64, neg bool, n, end int) {
+	if i < len(b) && b[i] == '-' {
+		neg = true
+		i++
+	}
+	d := i
+	for i < len(b) && isDigit(b[i]) {
+		u = u*10 + uint64(b[i]-'0')
+		i++
+	}
+	if n = i - d; n > 1 && b[d] == '0' {
+		n = 0
+	}
+	return u, neg, n, i
+}
+
+// compactInt reads an int64 literal at b[i:] and returns the index after
+// it. A fraction or an exponent is left for the caller's delimiter check,
+// which declines it.
+func compactInt(b []byte, i int) (int64, int, bool) {
+	u, neg, n, end := digitRun(b, i)
+	switch {
+	case n == 0:
+		return 0, 0, false
+	case n > 18:
+		v, err := strconv.ParseInt(string(b[i:end]), 10, 64)
+		return v, end, err == nil
+	case neg:
+		return -int64(u), end, true
+	}
+	return int64(u), end, true
+}
+
+// compactFloat reads a float64 literal at b[i:] and returns the index after
+// it. An integer of at most 15 digits is below 2^53, so its float64 is
+// exact and equals what strconv.ParseFloat rounds it to; -0 keeps strconv
+// for its sign bit.
+func compactFloat(b []byte, i int) (float64, int, bool) {
+	u, neg, n, end := digitRun(b, i)
+	if n == 0 {
+		return 0, 0, false
+	}
+	if n <= 15 && !(neg && u == 0) && (end == len(b) || b[end] != '.' && b[end] != 'e' && b[end] != 'E') {
+		if neg {
+			return -float64(u), end, true
+		}
+		return float64(u), end, true
+	}
+	end, ok := scanNumber(b, i)
+	if !ok {
+		return 0, 0, false
+	}
+	f, err := strconv.ParseFloat(string(b[i:end]), 64)
+	return f, end, err == nil
+}
+
+// compactValue reads a string literal at b[i:] into its own copy.
+func compactValue(b []byte, i int) (string, int, bool) {
+	if i == len(b) || b[i] != '"' {
+		return "", 0, false
+	}
+	s, next, ok := scanString(b, i+1)
+	return string(s), next, ok
+}
+
+// compactArray reads the array whose '[' is b[i-1] into dst from index 0 and
+// returns the index after its ']'. Like encoding/json, an empty array
+// becomes a new non-nil empty slice whatever dst held.
+func compactArray[T any](b []byte, i int, dst []T, elem func([]byte, int) (T, int, bool)) ([]T, int, bool) {
+	if i < len(b) && b[i] == ']' {
+		return []T{}, i + 1, true
+	}
+	out := dst[:0]
+	for {
+		v, next, ok := elem(b, i)
+		if !ok || next == len(b) {
+			return nil, 0, false
+		}
+		out = append(out, v)
+		switch b[next] {
+		case ',':
+			i = next + 1
+		case ']':
+			return out, next + 1, true
+		default:
+			return nil, 0, false
+		}
+	}
+}
+
+// compactIngestJSON is the first tier for a batch body, decoding into req's
+// slices from index 0; on a decline it clears the arriving scratch.
+func compactIngestJSON(body []byte, req IngestRequest) (IngestRequest, ingestFields, bool) {
+	const valuesKey, tsKey, weightsKey = `{"values":[`, `,"timestamps":[`, `,"weights":[`
+	if len(body) < len(valuesKey) || string(body[:len(valuesKey)]) != valuesKey {
+		return req, ingestFields{}, false
+	}
+	out := req
+	var has ingestFields
+	var i int
+	var ok bool
+	out.Values, i, ok = compactArray(body, len(valuesKey), out.Values, compactValue)
+	if ok && len(body)-i > len(tsKey) && string(body[i:i+len(tsKey)]) == tsKey {
+		out.Timestamps, i, ok = compactArray(body, i+len(tsKey), out.Timestamps, compactInt)
+		has.timestamps = true
+	}
+	if ok && len(body)-i > len(weightsKey) && string(body[i:i+len(weightsKey)]) == weightsKey {
+		out.Weights, i, ok = compactArray(body, i+len(weightsKey), out.Weights, compactFloat)
+		has.weights = true
+	}
+	if !ok || i != len(body)-1 || body[i] != '}' {
+		clearScratch(req)
+		return req, ingestFields{}, false
+	}
+	return out, has, true
+}
+
+// compactRecord is the first tier for one trimmed Record line; it writes
+// *rec only when it accepts.
+func compactRecord(line []byte, rec *wireRecord) bool {
+	const valueKey, tsKey, weightKey = `{"value":"`, `,"ts":`, `,"weight":`
+	if len(line) < len(valueKey) || string(line[:len(valueKey)]) != valueKey {
+		return false
+	}
+	value, i, ok := scanString(line, len(valueKey))
+	var r wireRecord
+	if ok && len(line)-i > len(tsKey) && string(line[i:i+len(tsKey)]) == tsKey {
+		r.ts, i, ok = compactInt(line, i+len(tsKey))
+		r.hasTS = true
+	}
+	if ok && len(line)-i > len(weightKey) && string(line[i:i+len(weightKey)]) == weightKey {
+		r.weight, i, ok = compactFloat(line, i+len(weightKey))
+		r.hasW = true
+	}
+	if !ok || i != len(line)-1 || line[i] != '}' {
+		return false
+	}
+	r.value = string(value)
+	*rec = r
+	return true
+}
+
+// ---------------------------------------------------------------------------
+// Second tier: the token walk over the canonical form
 // ---------------------------------------------------------------------------
 
 // cursor walks one JSON text. Each method consumes a token and reports
@@ -84,38 +250,60 @@ func (c *cursor) end() bool {
 	return c.i == len(c.b)
 }
 
-// str consumes a string literal and returns its contents, which encoding/json
-// would decode to exactly these bytes: no escapes, no control bytes, valid
-// UTF-8 (encoding/json rewrites invalid bytes to U+FFFD).
+// str consumes a string literal and returns its contents (scanString).
 func (c *cursor) str() ([]byte, bool) {
 	if !c.tok('"') {
 		return nil, false
 	}
-	start, ascii := c.i, true
-	for j := start; j < len(c.b); j++ {
-		switch b := c.b[j]; {
-		case b == '"':
-			s := c.b[start:j]
+	s, next, ok := scanString(c.b, c.i)
+	if ok {
+		c.i = next
+	}
+	return s, ok
+}
+
+// scanString reads the string literal whose opening quote is b[i-1] and
+// returns its contents and the index after its closing quote. It takes only
+// contents encoding/json would decode to exactly these bytes: no escapes, no
+// control bytes, valid UTF-8 (encoding/json rewrites invalid bytes to
+// U+FFFD).
+func scanString(b []byte, i int) ([]byte, int, bool) {
+	start := i
+	ascii := true
+	for ; i < len(b); i++ {
+		switch c := b[i]; {
+		case c == '"':
+			s := b[start:i]
 			if !ascii && !utf8.Valid(s) {
-				return nil, false
+				return nil, 0, false
 			}
-			c.i = j + 1
-			return s, true
-		case b == '\\' || b < ' ':
-			return nil, false
-		case b >= utf8.RuneSelf:
+			return s, i + 1, true
+		case c == '\\' || c < ' ':
+			return nil, 0, false
+		case c >= utf8.RuneSelf:
 			ascii = false
 		}
 	}
-	return nil, false
+	return nil, 0, false
 }
 
-// number consumes a literal in the JSON number grammar
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? and returns its bytes.
+// number consumes a literal in the JSON number grammar (scanNumber) and
+// returns its bytes.
 func (c *cursor) number() ([]byte, bool) {
 	c.space()
-	b, i := c.b, c.i
-	start := i
+	end, ok := scanNumber(c.b, c.i)
+	if !ok {
+		return nil, false
+	}
+	lit := c.b[c.i:end]
+	c.i = end
+	return lit, true
+}
+
+// scanNumber reads a literal in the JSON number grammar
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? at b[i:] and returns the
+// index after it.
+func scanNumber(b []byte, i int) (int, bool) {
 	if i < len(b) && b[i] == '-' {
 		i++
 	}
@@ -125,11 +313,11 @@ func (c *cursor) number() ([]byte, bool) {
 	case i < len(b) && b[i] >= '1' && b[i] <= '9':
 		i = digits(b, i)
 	default:
-		return nil, false
+		return 0, false
 	}
 	if i < len(b) && b[i] == '.' {
 		if i++; i == len(b) || !isDigit(b[i]) {
-			return nil, false
+			return 0, false
 		}
 		i = digits(b, i)
 	}
@@ -139,12 +327,11 @@ func (c *cursor) number() ([]byte, bool) {
 			i++
 		}
 		if i == len(b) || !isDigit(b[i]) {
-			return nil, false
+			return 0, false
 		}
 		i = digits(b, i)
 	}
-	c.i = i
-	return b[start:i], true
+	return i, true
 }
 
 func isDigit(b byte) bool { return b >= '0' && b <= '9' }
@@ -252,12 +439,8 @@ func arrayInto[T any](c *cursor, dst []T, elem func() (T, bool)) ([]T, bool) {
 
 var ingestKeys = []string{"values", "timestamps", "weights"}
 
-// parseIngestJSON recognizes a canonical IngestRequest body, decoding into
-// req's slices from index 0 as encoding/json does, and reports which
-// optional fields the body carried. On a decline it clears whatever it
-// wrote into the arriving backing arrays — request scratch arrives zeroed —
-// so the fallback starts from exactly what the caller passed in.
-func parseIngestJSON(body []byte, req IngestRequest) (IngestRequest, ingestFields, bool) {
+// walkIngestJSON is the token walk over a canonical IngestRequest body.
+func walkIngestJSON(body []byte, req IngestRequest) (IngestRequest, ingestFields, bool) {
 	c := cursor{b: body}
 	out := req
 	var has ingestFields
@@ -279,9 +462,7 @@ func parseIngestJSON(body []byte, req IngestRequest) (IngestRequest, ingestField
 		return ok
 	})
 	if !ok || !c.end() {
-		clear(req.Values[:cap(req.Values)])
-		clear(req.Timestamps[:cap(req.Timestamps)])
-		clear(req.Weights[:cap(req.Weights)])
+		clearScratch(req)
 		return req, ingestFields{}, false
 	}
 	return out, has, true
@@ -289,9 +470,10 @@ func parseIngestJSON(body []byte, req IngestRequest) (IngestRequest, ingestField
 
 var recordKeys = []string{"value", "ts", "weight"}
 
-// parseRecord recognizes one canonical Record line (already trimmed): a single
-// object and nothing after it.
-func parseRecord(line []byte) (wireRecord, bool) {
+// walkRecord is the token walk over one canonical Record line (already
+// trimmed): a single object and nothing after it. It writes *out only when
+// it accepts.
+func walkRecord(line []byte, out *wireRecord) bool {
 	c := cursor{b: line}
 	var rec wireRecord
 	var value []byte
@@ -310,15 +492,37 @@ func parseRecord(line []byte) (wireRecord, bool) {
 		return ok
 	})
 	if !ok || !c.end() {
-		return wireRecord{}, false
+		return false
 	}
 	rec.value = string(value)
-	return rec, true
+	*out = rec
+	return true
+}
+
+// clearScratch zeroes whatever a declining recognizer wrote into the
+// arriving backing arrays: request scratch arrives zeroed, so the next tier
+// starts from exactly what the caller passed in.
+func clearScratch(req IngestRequest) {
+	clear(req.Values[:cap(req.Values)])
+	clear(req.Timestamps[:cap(req.Timestamps)])
+	clear(req.Weights[:cap(req.Weights)])
 }
 
 // ---------------------------------------------------------------------------
-// Decoders: recognizer first, encoding/json on a decline
+// Decoders: the compact form, then the token walk, then encoding/json
 // ---------------------------------------------------------------------------
+
+// parseIngestJSON recognizes a canonical IngestRequest body, decoding into
+// req's slices from index 0 as encoding/json does, and reports which
+// optional fields the body carried. On a decline it leaves the arriving
+// backing arrays zeroed, as they arrived, so the fallback starts from
+// exactly what the caller passed in.
+func parseIngestJSON(body []byte, req IngestRequest) (IngestRequest, ingestFields, bool) {
+	if out, has, ok := compactIngestJSON(body, req); ok {
+		return out, has, true
+	}
+	return walkIngestJSON(body, req)
+}
 
 // decodeJSONFrom is the encoding/json body decode every JSON endpoint shares:
 // one object, unknown fields rejected, nothing after it.
@@ -336,14 +540,18 @@ func decodeJSONFrom(r io.Reader, v any) error {
 }
 
 // decodeIngestJSON reads a whole JSON batch body into a pooled buffer and
-// decodes it into req, through the recognizer when it accepts and through
-// encoding/json otherwise. A failed read (an oversized body, a broken
-// connection) still goes to encoding/json, which sees the same bytes and
-// then the same error it would have read itself.
+// decodes it into req, through the recognizers when they accept and through
+// encoding/json otherwise. A body over the read cap is that error, whatever
+// it holds (413). Any other failed read (a broken connection) still goes to
+// encoding/json, which sees the same bytes and then the same error it would
+// have read itself.
 func decodeIngestJSON(r io.Reader, req IngestRequest) (IngestRequest, ingestFields, error) {
 	body := bytes.NewBuffer(wireBufs.Get(initialNDJSONBufBytes)[:0])
 	defer func() { wireBufs.Put(body.Bytes()) }()
 	_, rerr := body.ReadFrom(r)
+	if tooLarge(rerr) {
+		return req, ingestFields{}, fmt.Errorf("serve: bad request body: %w", rerr)
+	}
 	if rerr == nil {
 		if out, has, ok := parseIngestJSON(body.Bytes(), req); ok {
 			return out, has, nil
@@ -362,6 +570,12 @@ func decodeIngestJSON(r io.Reader, req IngestRequest) (IngestRequest, ingestFiel
 	return req, ingestFields{timestamps: zero.Timestamps != nil, weights: zero.Weights != nil}, nil
 }
 
+// tooLarge reports whether err is http.MaxBytesReader's over-the-cap error.
+func tooLarge(err error) bool {
+	var mbe *http.MaxBytesError
+	return errors.As(err, &mbe)
+}
+
 // replay re-serves bytes already read, then the error that ended the read.
 type replay struct {
 	buf []byte
@@ -377,33 +591,37 @@ func (r *replay) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// decodeNDJSONRecord decodes one trimmed, non-empty NDJSON ingest line. The
-// fallback reads the first JSON value of the line with unknown fields
-// rejected, as the ingest endpoint always has.
-func decodeNDJSONRecord(line []byte) (wireRecord, error) {
-	if rec, ok := parseRecord(line); ok {
-		return rec, nil
+// decodeNDJSONRecord decodes one trimmed, non-empty NDJSON ingest line into
+// *rec, which an error leaves as it was. The fallback reads the first JSON
+// value of the line with unknown fields rejected, as the ingest endpoint
+// always has.
+func decodeNDJSONRecord(line []byte, rec *wireRecord) error {
+	if compactRecord(line, rec) || walkRecord(line, rec) {
+		return nil
 	}
-	var rec Record
+	var r Record
 	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&rec); err != nil {
-		return wireRecord{}, err
+	if err := dec.Decode(&r); err != nil {
+		return err
 	}
-	return fromRecord(rec), nil
+	*rec = fromRecord(r)
+	return nil
 }
 
-// decodeWALRecord decodes one trimmed, non-empty WAL line; the fallback is
-// json.Unmarshal, as WAL replay always has.
-func decodeWALRecord(line []byte) (wireRecord, error) {
-	if rec, ok := parseRecord(line); ok {
-		return rec, nil
+// decodeWALRecord decodes one trimmed, non-empty WAL line into *rec, which
+// an error leaves as it was; the fallback is json.Unmarshal, as WAL replay
+// always has.
+func decodeWALRecord(line []byte, rec *wireRecord) error {
+	if compactRecord(line, rec) || walkRecord(line, rec) {
+		return nil
 	}
-	var rec Record
-	if err := json.Unmarshal(line, &rec); err != nil {
-		return wireRecord{}, err
+	var r Record
+	if err := json.Unmarshal(line, &r); err != nil {
+		return err
 	}
-	return fromRecord(rec), nil
+	*rec = fromRecord(r)
+	return nil
 }
 
 func fromRecord(r Record) wireRecord {
@@ -426,16 +644,23 @@ func fromRecord(r Record) wireRecord {
 // Only escapes can outgrow it, and append then grows the buffer.
 const walLineOverhead = len(`{"value":"","ts":-9223372036854775808,"weight":-2.2250738585072014e-308}`) + 1
 
+// walBufs recycles the WAL encoder's batch buffers; the admission path puts
+// each back once the append returned.
+var walBufs = slab.NewSlicePool[byte](maxNDJSONLineBytes)
+
 // encodeWALBatch renders one admitted batch as NDJSON Record lines — the
 // same wire format the ingest endpoint accepts, so a WAL is replayable with
 // nothing but the ordinary ingest path (or curl). Each line's bytes are
-// json.Marshal(Record) followed by '\n'; the batch takes one buffer.
+// json.Marshal(Record) followed by '\n'; the batch takes one buffer from
+// walBufs, which the caller puts back after the append.
 func encodeWALBatch(elems []stream.Element[string], weights []float64, withTS bool) ([]byte, error) {
 	size := 0
 	for i := range elems {
 		size += len(elems[i].Value) + walLineOverhead
 	}
-	buf := make([]byte, 0, size)
+	// A recycled buffer too small for this batch grows by append's rule,
+	// leaving headroom for the next one.
+	buf := slices.Grow(walBufs.Get(0), size)
 	for i := range elems {
 		rec := wireRecord{value: elems[i].Value, ts: elems[i].TS, hasTS: withTS}
 		if weights != nil {
@@ -443,6 +668,7 @@ func encodeWALBatch(elems []stream.Element[string], weights []float64, withTS bo
 		}
 		var err error
 		if buf, err = appendRecord(buf, rec); err != nil {
+			walBufs.Put(buf)
 			return nil, fmt.Errorf("serve: wal encode: %w", err)
 		}
 		buf = append(buf, '\n')

@@ -165,27 +165,72 @@ var ingestDiffCorpus = []string{
 	`{"Value":"a","TS":3}`,
 	`{"value":" "}`,
 	`not-json`,
+	// Compact-form edges: numbers the digit loop must hand to strconv or
+	// refuse, escapes, invalid UTF-8, trailing bytes, repeated and swapped
+	// keys, empty arrays — as lines and as bodies.
+	`{"value":"a","ts":1,"weight":-0}` + "\n" + `{"value":"b","ts":2,"weight":1e+06}`,
+	`{"value":"a","weight":9007199254740993}` + "\n" + `{"value":"b","weight":-9007199254740993}`,
+	`{"value":"a","ts":-9223372036854775808}` + "\n" + `{"value":"b","ts":9223372036854775807}`,
+	`{"value":"a","ts":-0,"weight":123456789012345}` + "\n" + `{"value":"b","ts":123456789012345678,"weight":1234567890123456}`,
+	`{"value":"a","ts":01}`,
+	`{"value":"a","weight":00}`,
+	`{"value":"a","weight":-01}`,
+	`{"value":"a","ts":1.0}`,
+	`{"value":"a","weight":2.}`,
+	`{"value":"a\"b"}` + "\n" + `{"value":"c\\d"}` + "\n" + `{"value":"\u003c"}`,
+	"{\"value\":\"\xff\"}",
+	`{"value":"a"}x`,
+	`{"value":"a","ts":1,"ts":2}`,
+	`{"ts":1,"value":"a"}`,
+	`{"value":"a","weight":2,"ts":1}`,
+	`{"value":"a","ts":1,"weight":2,"bogus":3}`,
+	`{"values":["a"],"timestamps":[1],"weights":[-0]}`,
+	`{"values":["a","b","c"],"weights":[1e+06,9007199254740993,-9007199254740993]}`,
+	`{"values":["a","b"],"timestamps":[-9223372036854775808,9223372036854775807]}`,
+	`{"values":["a"],"timestamps":[01]}`,
+	`{"values":["a"],"weights":[-01]}`,
+	`{"values":["a\"b","c\\d","\u003c"]}`,
+	`{"values":["a"]}x`,
+	`{"values":["a"],"timestamps":[1],"timestamps":[2]}`,
+	`{"timestamps":[1],"values":["a"]}`,
+	`{"values":["a"],"weights":[2],"timestamps":[1]}`,
+	`{"values":["a"],"weights":[]}`,
+	`{"values":[],"weights":[]}`,
+	`{"values":["a","b"],"timestamps":[1,2],"weights":[3,4]}` + "\n",
 }
 
 // FuzzIngestDecodeDiff: on every input the JSON body decode and the NDJSON
-// decode (recognizer plus fallback) give exactly what the encoding/json-only
+// decode (recognizers plus fallback) give exactly what the encoding/json-only
 // decoders give — values, nil-ness, float bits, or the same error — from
-// fresh and from recycled request slices; and whenever a recognizer
-// accepts a body or a line, encoding/json accepts it with the same result.
+// fresh and from recycled request slices; each line's NDJSON and WAL decode
+// gives what encoding/json's decoder and json.Unmarshal give; whenever a
+// recognizer tier accepts a body or a line, encoding/json accepts it with
+// the same result; and a declining tier leaves recycled scratch zeroed.
 func FuzzIngestDecodeDiff(f *testing.F) {
 	for _, s := range ingestDiffCorpus {
 		f.Add([]byte(s), false)
 		f.Add([]byte(s), true)
 	}
 	f.Fuzz(func(t *testing.T, body []byte, recycled bool) {
-		// JSON batch body.
+		// JSON batch body: each tier alone, then the whole decode.
 		want, werr := refDecodeIngestJSON(body, scratchRequest(recycled))
-		if got, _, ok := parseIngestJSON(body, scratchRequest(recycled)); ok {
+		for _, tier := range []struct {
+			name  string
+			parse func([]byte, IngestRequest) (IngestRequest, ingestFields, bool)
+		}{{"compact", compactIngestJSON}, {"walk", walkIngestJSON}, {"recognizer", parseIngestJSON}} {
+			req := scratchRequest(recycled)
+			got, _, ok := tier.parse(body, req)
+			if !ok {
+				if !zeroed(req) {
+					t.Fatalf("%s tier declined and left recycled scratch %#v: %q", tier.name, req, body)
+				}
+				continue
+			}
 			if werr != nil {
-				t.Fatalf("recognizer accepted a body encoding/json rejects (%v): %q", werr, body)
+				t.Fatalf("%s tier accepted a body encoding/json rejects (%v): %q", tier.name, werr, body)
 			}
 			if !sameRequest(got, want) {
-				t.Fatalf("recognizer decoded %#v, encoding/json %#v: %q", got, want, body)
+				t.Fatalf("%s tier decoded %#v, encoding/json %#v: %q", tier.name, got, want, body)
 			}
 		}
 		got, has, gerr := decodeIngestJSON(bytes.NewReader(body), scratchRequest(recycled))
@@ -196,27 +241,44 @@ func FuzzIngestDecodeDiff(f *testing.F) {
 			t.Fatalf("JSON decode reports fields %+v, encoding/json from the zero request decodes %+v: %q", has, fieldsOf(zero), body)
 		}
 
-		// NDJSON: each line through the recognizer, then the whole body.
+		// Each line: both tiers, then the NDJSON and the WAL line decode,
+		// against their encoding/json references.
 		for _, line := range bytes.Split(body, []byte("\n")) {
 			raw := bytes.TrimSpace(line)
-			rec, ok := parseRecord(raw)
-			if !ok {
+			if len(raw) == 0 {
 				continue
 			}
-			var ref Record
+			var nd Record
 			dec := json.NewDecoder(bytes.NewReader(raw))
 			dec.DisallowUnknownFields()
-			if err := dec.Decode(&ref); err != nil {
-				t.Fatalf("recognizer accepted a line encoding/json rejects (%v): %q", err, raw)
-			}
-			if !sameRecord(rec, fromRecord(ref)) {
-				t.Fatalf("recognizer decoded %+v, encoding/json %+v: %q", rec, fromRecord(ref), raw)
-			}
+			nerr := dec.Decode(&nd)
 			var un Record
-			if err := json.Unmarshal(raw, &un); err != nil || !sameRecord(rec, fromRecord(un)) {
-				t.Fatalf("recognizer decoded %+v, json.Unmarshal %+v (%v): %q", rec, fromRecord(un), err, raw)
+			uerr := json.Unmarshal(raw, &un)
+			for _, tier := range []struct {
+				name  string
+				parse func([]byte, *wireRecord) bool
+			}{{"compact", compactRecord}, {"walk", walkRecord}} {
+				var rec wireRecord
+				if !tier.parse(raw, &rec) {
+					continue
+				}
+				if nerr != nil || uerr != nil {
+					t.Fatalf("%s tier accepted a line encoding/json rejects (%v, %v): %q", tier.name, nerr, uerr, raw)
+				}
+				if !sameRecord(rec, fromRecord(nd)) || !sameRecord(rec, fromRecord(un)) {
+					t.Fatalf("%s tier decoded %+v, encoding/json %+v and %+v: %q", tier.name, rec, fromRecord(nd), fromRecord(un), raw)
+				}
+			}
+			var rec wireRecord
+			if err := decodeNDJSONRecord(raw, &rec); errText(err) != errText(nerr) || (err == nil && !sameRecord(rec, fromRecord(nd))) {
+				t.Fatalf("decodeNDJSONRecord %+v, %v; encoding/json %+v, %v: %q", rec, err, fromRecord(nd), nerr, raw)
+			}
+			if err := decodeWALRecord(raw, &rec); errText(err) != errText(uerr) || (err == nil && !sameRecord(rec, fromRecord(un))) {
+				t.Fatalf("decodeWALRecord %+v, %v; json.Unmarshal %+v, %v: %q", rec, err, fromRecord(un), uerr, raw)
 			}
 		}
+
+		// The whole NDJSON body.
 		want, werr = refParseNDJSON(body, scratchRequest(recycled))
 		got, has, gerr = parseNDJSON(httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body)), scratchRequest(recycled))
 		if errText(gerr) != errText(werr) || (werr == nil && !sameRequest(got, want)) {
@@ -228,52 +290,107 @@ func FuzzIngestDecodeDiff(f *testing.F) {
 	})
 }
 
-// TestRecognizersTakeCanonicalInput pins that the canonical shapes really
-// ride the fast path (a recognizer that declined everything would pass the
-// diff fuzzer trivially), and that a decline leaves recycled scratch as it
-// arrived: zeroed.
+// TestRecognizersTakeCanonicalInput pins that each shape rides its tier (a
+// recognizer that declined everything would pass the diff fuzzer
+// trivially): compact lines and bodies, the WAL encoder's own lines
+// included, take the compact tier; canonical text the compact tier
+// declines takes the token walk; and a decline leaves recycled scratch as
+// it arrived: zeroed.
 func TestRecognizersTakeCanonicalInput(t *testing.T) {
 	for _, body := range []string{
 		`{"values":["a","b"],"timestamps":[1,2],"weights":[0.5,2]}`,
-		` { "values" : [ "a" ] , "weights" : [ 1e3 ] } `,
+		`{"values":["héllo","b"],"weights":[1e+06,1234567890123456789]}`,
+		`{"values":["a"],"timestamps":[-9223372036854775808]}`,
 		`{"values":[],"timestamps":[]}`,
-		`{"values":["héllo"]}`,
-		`{}`,
+		`{"values":["a"]}`,
 	} {
-		if _, _, ok := parseIngestJSON([]byte(body), IngestRequest{}); !ok {
-			t.Errorf("canonical body declined: %s", body)
+		if _, _, ok := compactIngestJSON([]byte(body), scratchRequest(true)); !ok {
+			t.Errorf("compact body declined by the compact tier: %s", body)
 		}
 	}
 	for _, line := range []string{
 		`{"value":"a","ts":1,"weight":2}`,
-		`{"weight":0.25,"value":"日本"}`,
-		`{"value":""}`,
+		`{"value":"日本","weight":0.25}`,
+		`{"value":"a","ts":9223372036854775807,"weight":-0}`,
+		`{"value":"","weight":1e+06}`,
+		`{"value":"a"}`,
+	} {
+		if !compactRecord([]byte(line), new(wireRecord)) {
+			t.Errorf("compact line declined by the compact tier: %s", line)
+		}
+	}
+	elems := []stream.Element[string]{{Value: "plain", TS: -3}, {Value: "héllo", TS: 1 << 40}}
+	wal, err := encodeWALBatch(elems, []float64{7, 2.5e-7}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range bytes.Split(bytes.TrimSuffix(wal, []byte("\n")), []byte("\n")) {
+		if !compactRecord(line, new(wireRecord)) {
+			t.Errorf("WAL line declined by the compact tier: %s", line)
+		}
+	}
+	for _, body := range []string{
+		` { "values" : [ "a" ] , "weights" : [ 1e3 ] } `,
+		`{"weights":[1],"values":["a"]}`,
+		`{"values":["héllo"]}` + "\n",
 		`{}`,
 	} {
-		if _, ok := parseRecord([]byte(line)); !ok {
-			t.Errorf("canonical line declined: %s", line)
+		if _, _, ok := compactIngestJSON([]byte(body), scratchRequest(true)); ok {
+			t.Errorf("non-compact body taken by the compact tier: %q", body)
+		}
+		if _, _, ok := parseIngestJSON([]byte(body), IngestRequest{}); !ok {
+			t.Errorf("canonical body declined: %q", body)
+		}
+	}
+	for _, line := range []string{
+		`{"weight":0.25,"value":"日本"}`,
+		`{ "value":"a" }`,
+		`{}`,
+	} {
+		if compactRecord([]byte(line), new(wireRecord)) {
+			t.Errorf("non-compact line taken by the compact tier: %s", line)
+		}
+		if !walkRecord([]byte(line), new(wireRecord)) {
+			t.Errorf("canonical line declined by the token walk: %s", line)
 		}
 	}
 	for _, body := range []string{
 		`{"values":["a","b"],"values":["c"]}`,
 		`{"values":["a","b"],"timestamps":[1,null]}`,
 		`{"values":["a","b","c","d","e","f"],"Weights":[1]}`,
+		`{"values":["a","b","c"],"timestamps":[1,2,3],"weights":[1,2,x]}`,
 	} {
-		req := scratchRequest(true)
-		if _, _, ok := parseIngestJSON([]byte(body), req); ok {
-			t.Fatalf("non-canonical body accepted: %s", body)
-		}
-		for _, v := range req.Values[:cap(req.Values)] {
-			if v != "" {
-				t.Fatalf("declined body left %q in recycled scratch: %s", v, body)
+		for _, parse := range []func([]byte, IngestRequest) (IngestRequest, ingestFields, bool){compactIngestJSON, parseIngestJSON} {
+			req := scratchRequest(true)
+			if _, _, ok := parse([]byte(body), req); ok {
+				t.Fatalf("non-canonical body accepted: %s", body)
 			}
-		}
-		for _, ts := range req.Timestamps[:cap(req.Timestamps)] {
-			if ts != 0 {
-				t.Fatalf("declined body left %d in recycled scratch: %s", ts, body)
+			if !zeroed(req) {
+				t.Fatalf("declined body left recycled scratch %#v: %s", req, body)
 			}
 		}
 	}
+}
+
+// zeroed reports whether request scratch holds only zero values through
+// its capacity, as it arrives.
+func zeroed(req IngestRequest) bool {
+	for _, v := range req.Values[:cap(req.Values)] {
+		if v != "" {
+			return false
+		}
+	}
+	for _, ts := range req.Timestamps[:cap(req.Timestamps)] {
+		if ts != 0 {
+			return false
+		}
+	}
+	for _, w := range req.Weights[:cap(req.Weights)] {
+		if math.Float64bits(w) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // TestDecodedValuesAreCopies: a decoded value must not share memory with the
@@ -285,9 +402,9 @@ func TestDecodedValuesAreCopies(t *testing.T) {
 		t.Fatal("canonical body declined")
 	}
 	line := []byte(`{"value":"cccc"}`)
-	rec, ok := parseRecord(line)
-	if !ok {
-		t.Fatal("canonical line declined")
+	var rec wireRecord
+	if !compactRecord(line, &rec) {
+		t.Fatal("compact line declined")
 	}
 	for i := range body {
 		body[i] = 'x'
@@ -374,8 +491,8 @@ func FuzzWALRecordDiff(f *testing.F) {
 		if err := json.Unmarshal(want, &back); err != nil {
 			t.Fatalf("json.Unmarshal of its own output: %v", err)
 		}
-		dec, err := decodeWALRecord(got)
-		if err != nil || !sameRecord(dec, fromRecord(back)) {
+		var dec wireRecord
+		if err := decodeWALRecord(got, &dec); err != nil || !sameRecord(dec, fromRecord(back)) {
 			t.Fatalf("decodeWALRecord %+v (%v), encoding/json %+v", dec, err, fromRecord(back))
 		}
 	})
