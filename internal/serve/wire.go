@@ -20,19 +20,16 @@ import (
 // knows the byte shape of a JSON batch body, an NDJSON Record line and a WAL
 // line.
 //
-// Decoding is two recognizer tiers in front of encoding/json. The first
-// reads the compact form — the bytes appendRecord writes to the WAL, and
-// what most encoders send — in one straight pass. The second, a token walk,
-// accepts the canonical form: exact lowercase keys in any order, each at
-// most once, and whitespace anywhere JSON allows it. Both take only strings
-// without escapes, control bytes or invalid UTF-8, and numbers in the JSON
-// grammar, converted as encoding/json converts them. A tier declines at the
-// first byte that does not fit, and the next one starts over; what the walk
-// declines goes through encoding/json unchanged. encoding/json therefore
-// stays the single definition of what is accepted, of nil versus empty
-// slices, of float bits and of every error message; on the inputs a
-// recognizer accepts its output is what encoding/json would have produced
-// (FuzzIngestDecodeDiff checks exactly that).
+// Decoding is one recognizer in front of encoding/json. It reads the compact
+// form — the bytes appendRecord writes to the WAL, and what swperf sends —
+// in one straight pass, taking only strings without escapes, control bytes
+// or invalid UTF-8, and numbers in the JSON grammar, converted as
+// encoding/json converts them. At the first byte that does not fit it
+// declines, and the input goes through encoding/json unchanged.
+// encoding/json therefore stays the single definition of what is accepted,
+// of nil versus empty slices, of float bits and of every error message; on
+// the inputs the recognizer accepts its output is what encoding/json would
+// have produced (FuzzIngestDecodeDiff checks exactly that).
 //
 // Every decoded string is its own copy (string(b)), never a substring of the
 // request body or of a shared buffer: a sample can retain one value for the
@@ -53,11 +50,12 @@ type wireRecord struct {
 var wireBufs = slab.NewSlicePool[byte](maxNDJSONLineBytes)
 
 // ---------------------------------------------------------------------------
-// First tier: the compact form
+// The compact-form recognizer
 // ---------------------------------------------------------------------------
 
-// The compact form is a canonical text with no whitespace and its keys in
-// one order: {"value":"…"[,"ts":N][,"weight":N]} for a Record line and
+// The compact form is a JSON text with no whitespace inside it, exact
+// lowercase keys, each at most once, in one order:
+// {"value":"…"[,"ts":N][,"weight":N]} for a Record line and
 // {"values":[…][,"timestamps":[…]][,"weights":[…]]} for a batch body. An
 // integral literal of at most 15 digits (18 for an int64) converts exactly
 // in the digit loop; -0, fractions, exponents and longer literals go
@@ -159,10 +157,17 @@ func compactArray[T any](b []byte, i int, dst []T, elem func([]byte, int) (T, in
 	}
 }
 
-// compactIngestJSON is the first tier for a batch body, decoding into req's
-// slices from index 0; on a decline it clears the arriving scratch.
+// compactIngestJSON recognizes a compact IngestRequest body, decoding into
+// req's slices from index 0 as encoding/json does, and reports which
+// optional fields the body carried. JSON whitespace around the object is
+// skipped (Go's json.Encoder ends every value it writes with a newline);
+// other bytes around it, Unicode spaces included, decline, as encoding/json
+// refuses them. On a decline it clears whatever it wrote into the
+// arriving backing arrays — request scratch arrives zeroed — so the
+// fallback starts from exactly what the caller passed in.
 func compactIngestJSON(body []byte, req IngestRequest) (IngestRequest, ingestFields, bool) {
 	const valuesKey, tsKey, weightsKey = `{"values":[`, `,"timestamps":[`, `,"weights":[`
+	body = bytes.Trim(body, " \t\r\n")
 	if len(body) < len(valuesKey) || string(body[:len(valuesKey)]) != valuesKey {
 		return req, ingestFields{}, false
 	}
@@ -180,14 +185,16 @@ func compactIngestJSON(body []byte, req IngestRequest) (IngestRequest, ingestFie
 		has.weights = true
 	}
 	if !ok || i != len(body)-1 || body[i] != '}' {
-		clearScratch(req)
+		clear(req.Values[:cap(req.Values)])
+		clear(req.Timestamps[:cap(req.Timestamps)])
+		clear(req.Weights[:cap(req.Weights)])
 		return req, ingestFields{}, false
 	}
 	return out, has, true
 }
 
-// compactRecord is the first tier for one trimmed Record line; it writes
-// *rec only when it accepts.
+// compactRecord recognizes one trimmed compact Record line; it writes *rec
+// only when it accepts.
 func compactRecord(line []byte, rec *wireRecord) bool {
 	const valueKey, tsKey, weightKey = `{"value":"`, `,"ts":`, `,"weight":`
 	if len(line) < len(valueKey) || string(line[:len(valueKey)]) != valueKey {
@@ -209,57 +216,6 @@ func compactRecord(line []byte, rec *wireRecord) bool {
 	r.value = string(value)
 	*rec = r
 	return true
-}
-
-// ---------------------------------------------------------------------------
-// Second tier: the token walk over the canonical form
-// ---------------------------------------------------------------------------
-
-// cursor walks one JSON text. Each method consumes a token and reports
-// false when the input is not in the canonical form at that point.
-type cursor struct {
-	b []byte
-	i int
-}
-
-// space skips JSON whitespace.
-func (c *cursor) space() {
-	for c.i < len(c.b) {
-		switch c.b[c.i] {
-		case ' ', '\t', '\n', '\r':
-			c.i++
-		default:
-			return
-		}
-	}
-}
-
-// tok consumes the one-byte token t.
-func (c *cursor) tok(t byte) bool {
-	c.space()
-	if c.i < len(c.b) && c.b[c.i] == t {
-		c.i++
-		return true
-	}
-	return false
-}
-
-// end reports whether only whitespace is left.
-func (c *cursor) end() bool {
-	c.space()
-	return c.i == len(c.b)
-}
-
-// str consumes a string literal and returns its contents (scanString).
-func (c *cursor) str() ([]byte, bool) {
-	if !c.tok('"') {
-		return nil, false
-	}
-	s, next, ok := scanString(c.b, c.i)
-	if ok {
-		c.i = next
-	}
-	return s, ok
 }
 
 // scanString reads the string literal whose opening quote is b[i-1] and
@@ -285,19 +241,6 @@ func scanString(b []byte, i int) ([]byte, int, bool) {
 		}
 	}
 	return nil, 0, false
-}
-
-// number consumes a literal in the JSON number grammar (scanNumber) and
-// returns its bytes.
-func (c *cursor) number() ([]byte, bool) {
-	c.space()
-	end, ok := scanNumber(c.b, c.i)
-	if !ok {
-		return nil, false
-	}
-	lit := c.b[c.i:end]
-	c.i = end
-	return lit, true
 }
 
 // scanNumber reads a literal in the JSON number grammar
@@ -343,186 +286,9 @@ func digits(b []byte, i int) int {
 	return i
 }
 
-// int64 consumes a number encoding/json would store in an int64.
-func (c *cursor) int64() (int64, bool) {
-	lit, ok := c.number()
-	if !ok {
-		return 0, false
-	}
-	v, err := strconv.ParseInt(string(lit), 10, 64)
-	return v, err == nil
-}
-
-// float64 consumes a number encoding/json would store in a float64.
-func (c *cursor) float64() (float64, bool) {
-	lit, ok := c.number()
-	if !ok {
-		return 0, false
-	}
-	v, err := strconv.ParseFloat(string(lit), 64)
-	return v, err == nil
-}
-
-// array consumes a JSON array, calling elem once per element. It returns the
-// element count.
-func (c *cursor) array(elem func() bool) (int, bool) {
-	if !c.tok('[') {
-		return 0, false
-	}
-	if c.tok(']') {
-		return 0, true
-	}
-	for n := 1; ; n++ {
-		if !elem() {
-			return 0, false
-		}
-		if c.tok(']') {
-			return n, true
-		}
-		if !c.tok(',') {
-			return 0, false
-		}
-	}
-}
-
-// object consumes a JSON object whose keys are all among keys (exact bytes,
-// each at most once), calling field with the key's index to consume its
-// value. At most eight keys.
-func (c *cursor) object(keys []string, field func(int) bool) bool {
-	if !c.tok('{') {
-		return false
-	}
-	if c.tok('}') {
-		return true
-	}
-	var seen uint8
-	for {
-		k, ok := c.str()
-		if !ok || !c.tok(':') {
-			return false
-		}
-		idx := -1
-		for i, key := range keys {
-			if string(k) == key {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 || seen&(1<<idx) != 0 || !field(idx) {
-			return false
-		}
-		seen |= 1 << idx
-		if c.tok('}') {
-			return true
-		}
-		if !c.tok(',') {
-			return false
-		}
-	}
-}
-
-// arrayInto decodes a JSON array into dst from index 0, as encoding/json
-// does: a present array overwrites the slice, and an empty one becomes a new
-// non-nil empty slice whatever the field held before.
-func arrayInto[T any](c *cursor, dst []T, elem func() (T, bool)) ([]T, bool) {
-	out := dst[:0]
-	n, ok := c.array(func() bool {
-		v, ok := elem()
-		out = append(out, v)
-		return ok
-	})
-	if n == 0 {
-		out = []T{}
-	}
-	return out, ok
-}
-
-var ingestKeys = []string{"values", "timestamps", "weights"}
-
-// walkIngestJSON is the token walk over a canonical IngestRequest body.
-func walkIngestJSON(body []byte, req IngestRequest) (IngestRequest, ingestFields, bool) {
-	c := cursor{b: body}
-	out := req
-	var has ingestFields
-	ok := c.object(ingestKeys, func(key int) bool {
-		var ok bool
-		switch key {
-		case 0:
-			out.Values, ok = arrayInto(&c, out.Values, func() (string, bool) {
-				s, ok := c.str()
-				return string(s), ok
-			})
-		case 1:
-			out.Timestamps, ok = arrayInto(&c, out.Timestamps, c.int64)
-			has.timestamps = true
-		default:
-			out.Weights, ok = arrayInto(&c, out.Weights, c.float64)
-			has.weights = true
-		}
-		return ok
-	})
-	if !ok || !c.end() {
-		clearScratch(req)
-		return req, ingestFields{}, false
-	}
-	return out, has, true
-}
-
-var recordKeys = []string{"value", "ts", "weight"}
-
-// walkRecord is the token walk over one canonical Record line (already
-// trimmed): a single object and nothing after it. It writes *out only when
-// it accepts.
-func walkRecord(line []byte, out *wireRecord) bool {
-	c := cursor{b: line}
-	var rec wireRecord
-	var value []byte
-	ok := c.object(recordKeys, func(key int) bool {
-		var ok bool
-		switch key {
-		case 0:
-			value, ok = c.str()
-		case 1:
-			rec.ts, ok = c.int64()
-			rec.hasTS = true
-		default:
-			rec.weight, ok = c.float64()
-			rec.hasW = true
-		}
-		return ok
-	})
-	if !ok || !c.end() {
-		return false
-	}
-	rec.value = string(value)
-	*out = rec
-	return true
-}
-
-// clearScratch zeroes whatever a declining recognizer wrote into the
-// arriving backing arrays: request scratch arrives zeroed, so the next tier
-// starts from exactly what the caller passed in.
-func clearScratch(req IngestRequest) {
-	clear(req.Values[:cap(req.Values)])
-	clear(req.Timestamps[:cap(req.Timestamps)])
-	clear(req.Weights[:cap(req.Weights)])
-}
-
 // ---------------------------------------------------------------------------
-// Decoders: the compact form, then the token walk, then encoding/json
+// Decoders: the compact form, then encoding/json
 // ---------------------------------------------------------------------------
-
-// parseIngestJSON recognizes a canonical IngestRequest body, decoding into
-// req's slices from index 0 as encoding/json does, and reports which
-// optional fields the body carried. On a decline it leaves the arriving
-// backing arrays zeroed, as they arrived, so the fallback starts from
-// exactly what the caller passed in.
-func parseIngestJSON(body []byte, req IngestRequest) (IngestRequest, ingestFields, bool) {
-	if out, has, ok := compactIngestJSON(body, req); ok {
-		return out, has, true
-	}
-	return walkIngestJSON(body, req)
-}
 
 // decodeJSONFrom is the encoding/json body decode every JSON endpoint shares:
 // one object, unknown fields rejected, nothing after it.
@@ -540,8 +306,8 @@ func decodeJSONFrom(r io.Reader, v any) error {
 }
 
 // decodeIngestJSON reads a whole JSON batch body into a pooled buffer and
-// decodes it into req, through the recognizers when they accept and through
-// encoding/json otherwise. A body over the read cap is that error, whatever
+// decodes it into req, through the compact-form recognizer when it accepts
+// and through encoding/json otherwise. A body over the read cap is that error, whatever
 // it holds (413). Any other failed read (a broken connection) still goes to
 // encoding/json, which sees the same bytes and then the same error it would
 // have read itself.
@@ -553,7 +319,7 @@ func decodeIngestJSON(r io.Reader, req IngestRequest) (IngestRequest, ingestFiel
 		return req, ingestFields{}, fmt.Errorf("serve: bad request body: %w", rerr)
 	}
 	if rerr == nil {
-		if out, has, ok := parseIngestJSON(body.Bytes(), req); ok {
+		if out, has, ok := compactIngestJSON(body.Bytes(), req); ok {
 			return out, has, nil
 		}
 		rerr = io.EOF
@@ -596,7 +362,7 @@ func (r *replay) Read(p []byte) (int, error) {
 // value of the line with unknown fields rejected, as the ingest endpoint
 // always has.
 func decodeNDJSONRecord(line []byte, rec *wireRecord) error {
-	if compactRecord(line, rec) || walkRecord(line, rec) {
+	if compactRecord(line, rec) {
 		return nil
 	}
 	var r Record
@@ -613,7 +379,7 @@ func decodeNDJSONRecord(line []byte, rec *wireRecord) error {
 // an error leaves as it was; the fallback is json.Unmarshal, as WAL replay
 // always has.
 func decodeWALRecord(line []byte, rec *wireRecord) error {
-	if compactRecord(line, rec) || walkRecord(line, rec) {
+	if compactRecord(line, rec) {
 		return nil
 	}
 	var r Record

@@ -1,7 +1,7 @@
 package serve
 
 // Byte-identity battery for the ingest wire codec (wire.go). encoding/json
-// is the oracle throughout: whenever a recognizer accepts an input its
+// is the oracle throughout: whenever the recognizer accepts an input its
 // output must be what encoding/json decodes, and the WAL encoder's bytes
 // must be what json.Marshal(Record) writes. The end-to-end comparisons run
 // the whole decode path — recognizer plus fallback — against the
@@ -134,8 +134,8 @@ func errText(err error) string {
 	return err.Error()
 }
 
-// ingestDiffCorpus seeds FuzzIngestDecodeDiff: canonical bodies the
-// recognizers must take, and near misses they must hand to encoding/json.
+// ingestDiffCorpus seeds FuzzIngestDecodeDiff: compact bodies and lines the
+// recognizer must take, and near misses it must hand to encoding/json.
 var ingestDiffCorpus = []string{
 	`{"values":["a","b"],"timestamps":[1,2],"weights":[0.5,2]}`,
 	` { "values" : [ "a" , "b" ] , "weights" : [ 1e3 , -0 ] } ` + "\n",
@@ -197,41 +197,38 @@ var ingestDiffCorpus = []string{
 	`{"values":["a"],"weights":[]}`,
 	`{"values":[],"weights":[]}`,
 	`{"values":["a","b"],"timestamps":[1,2],"weights":[3,4]}` + "\n",
+	// Whitespace around a compact body: JSON whitespace is skipped, any
+	// other space (\v, U+00A0, U+0085) is refused by encoding/json.
+	`{"values":["héllo"]}` + "\n",
+	" \t" + `{"values":["a"],"weights":[2]}` + "\r\n",
+	`{"values":["a"]}` + "\v",
+	`{"values":["a"]}` + "\u00a0",
+	"\u0085" + `{"values":["a"]}`,
 }
 
 // FuzzIngestDecodeDiff: on every input the JSON body decode and the NDJSON
-// decode (recognizers plus fallback) give exactly what the encoding/json-only
+// decode (recognizer plus fallback) give exactly what the encoding/json-only
 // decoders give — values, nil-ness, float bits, or the same error — from
 // fresh and from recycled request slices; each line's NDJSON and WAL decode
-// gives what encoding/json's decoder and json.Unmarshal give; whenever a
-// recognizer tier accepts a body or a line, encoding/json accepts it with
-// the same result; and a declining tier leaves recycled scratch zeroed.
+// gives what encoding/json's decoder and json.Unmarshal give; whenever the
+// recognizer accepts a body or a line, encoding/json accepts it with the
+// same result; and a decline leaves recycled scratch zeroed.
 func FuzzIngestDecodeDiff(f *testing.F) {
 	for _, s := range ingestDiffCorpus {
 		f.Add([]byte(s), false)
 		f.Add([]byte(s), true)
 	}
 	f.Fuzz(func(t *testing.T, body []byte, recycled bool) {
-		// JSON batch body: each tier alone, then the whole decode.
+		// JSON batch body: the recognizer alone, then the whole decode.
 		want, werr := refDecodeIngestJSON(body, scratchRequest(recycled))
-		for _, tier := range []struct {
-			name  string
-			parse func([]byte, IngestRequest) (IngestRequest, ingestFields, bool)
-		}{{"compact", compactIngestJSON}, {"walk", walkIngestJSON}, {"recognizer", parseIngestJSON}} {
-			req := scratchRequest(recycled)
-			got, _, ok := tier.parse(body, req)
-			if !ok {
-				if !zeroed(req) {
-					t.Fatalf("%s tier declined and left recycled scratch %#v: %q", tier.name, req, body)
-				}
-				continue
-			}
-			if werr != nil {
-				t.Fatalf("%s tier accepted a body encoding/json rejects (%v): %q", tier.name, werr, body)
-			}
-			if !sameRequest(got, want) {
-				t.Fatalf("%s tier decoded %#v, encoding/json %#v: %q", tier.name, got, want, body)
-			}
+		req := scratchRequest(recycled)
+		switch got, _, ok := compactIngestJSON(body, req); {
+		case !ok && !zeroed(req):
+			t.Fatalf("recognizer declined and left recycled scratch %#v: %q", req, body)
+		case ok && werr != nil:
+			t.Fatalf("recognizer accepted a body encoding/json rejects (%v): %q", werr, body)
+		case ok && !sameRequest(got, want):
+			t.Fatalf("recognizer decoded %#v, encoding/json %#v: %q", got, want, body)
 		}
 		got, has, gerr := decodeIngestJSON(bytes.NewReader(body), scratchRequest(recycled))
 		if errText(gerr) != errText(werr) || (werr == nil && !sameRequest(got, want)) {
@@ -241,8 +238,8 @@ func FuzzIngestDecodeDiff(f *testing.F) {
 			t.Fatalf("JSON decode reports fields %+v, encoding/json from the zero request decodes %+v: %q", has, fieldsOf(zero), body)
 		}
 
-		// Each line: both tiers, then the NDJSON and the WAL line decode,
-		// against their encoding/json references.
+		// Each line: the recognizer, then the NDJSON and the WAL line
+		// decode, against their encoding/json references.
 		for _, line := range bytes.Split(body, []byte("\n")) {
 			raw := bytes.TrimSpace(line)
 			if len(raw) == 0 {
@@ -254,22 +251,15 @@ func FuzzIngestDecodeDiff(f *testing.F) {
 			nerr := dec.Decode(&nd)
 			var un Record
 			uerr := json.Unmarshal(raw, &un)
-			for _, tier := range []struct {
-				name  string
-				parse func([]byte, *wireRecord) bool
-			}{{"compact", compactRecord}, {"walk", walkRecord}} {
-				var rec wireRecord
-				if !tier.parse(raw, &rec) {
-					continue
-				}
+			var rec wireRecord
+			if compactRecord(raw, &rec) {
 				if nerr != nil || uerr != nil {
-					t.Fatalf("%s tier accepted a line encoding/json rejects (%v, %v): %q", tier.name, nerr, uerr, raw)
+					t.Fatalf("recognizer accepted a line encoding/json rejects (%v, %v): %q", nerr, uerr, raw)
 				}
 				if !sameRecord(rec, fromRecord(nd)) || !sameRecord(rec, fromRecord(un)) {
-					t.Fatalf("%s tier decoded %+v, encoding/json %+v and %+v: %q", tier.name, rec, fromRecord(nd), fromRecord(un), raw)
+					t.Fatalf("recognizer decoded %+v, encoding/json %+v and %+v: %q", rec, fromRecord(nd), fromRecord(un), raw)
 				}
 			}
-			var rec wireRecord
 			if err := decodeNDJSONRecord(raw, &rec); errText(err) != errText(nerr) || (err == nil && !sameRecord(rec, fromRecord(nd))) {
 				t.Fatalf("decodeNDJSONRecord %+v, %v; encoding/json %+v, %v: %q", rec, err, fromRecord(nd), nerr, raw)
 			}
@@ -290,12 +280,12 @@ func FuzzIngestDecodeDiff(f *testing.F) {
 	})
 }
 
-// TestRecognizersTakeCanonicalInput pins that each shape rides its tier (a
-// recognizer that declined everything would pass the diff fuzzer
-// trivially): compact lines and bodies, the WAL encoder's own lines
-// included, take the compact tier; canonical text the compact tier
-// declines takes the token walk; and a decline leaves recycled scratch as
-// it arrived: zeroed.
+// TestRecognizersTakeCanonicalInput pins that compact input takes the
+// compact-form recognizer (one that declined everything would pass the diff
+// fuzzer trivially): compact bodies and lines, the WAL encoder's own lines
+// and bodies wrapped in JSON whitespace included. Everything else declines
+// to encoding/json, and a declined body leaves recycled scratch as it
+// arrived: zeroed.
 func TestRecognizersTakeCanonicalInput(t *testing.T) {
 	for _, body := range []string{
 		`{"values":["a","b"],"timestamps":[1,2],"weights":[0.5,2]}`,
@@ -303,43 +293,47 @@ func TestRecognizersTakeCanonicalInput(t *testing.T) {
 		`{"values":["a"],"timestamps":[-9223372036854775808]}`,
 		`{"values":[],"timestamps":[]}`,
 		`{"values":["a"]}`,
+		`{"values":["héllo"]}` + "\n",
+		" \t" + `{"values":["a"],"weights":[2]}` + "\r\n",
 	} {
 		if _, _, ok := compactIngestJSON([]byte(body), scratchRequest(true)); !ok {
-			t.Errorf("compact body declined by the compact tier: %s", body)
+			t.Errorf("compact body declined: %q", body)
 		}
 	}
-	for _, line := range []string{
+	lines := []string{
 		`{"value":"a","ts":1,"weight":2}`,
 		`{"value":"日本","weight":0.25}`,
 		`{"value":"a","ts":9223372036854775807,"weight":-0}`,
 		`{"value":"","weight":1e+06}`,
 		`{"value":"a"}`,
-	} {
-		if !compactRecord([]byte(line), new(wireRecord)) {
-			t.Errorf("compact line declined by the compact tier: %s", line)
-		}
 	}
 	elems := []stream.Element[string]{{Value: "plain", TS: -3}, {Value: "héllo", TS: 1 << 40}}
 	wal, err := encodeWALBatch(elems, []float64{7, 2.5e-7}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, line := range bytes.Split(bytes.TrimSuffix(wal, []byte("\n")), []byte("\n")) {
-		if !compactRecord(line, new(wireRecord)) {
-			t.Errorf("WAL line declined by the compact tier: %s", line)
+	lines = append(lines, strings.Split(strings.TrimSuffix(string(wal), "\n"), "\n")...)
+	for _, line := range lines {
+		if !compactRecord([]byte(line), new(wireRecord)) {
+			t.Errorf("compact line declined: %s", line)
 		}
 	}
 	for _, body := range []string{
 		` { "values" : [ "a" ] , "weights" : [ 1e3 ] } `,
 		`{"weights":[1],"values":["a"]}`,
-		`{"values":["héllo"]}` + "\n",
 		`{}`,
+		`{"values":["a"]}` + "\u00a0",
+		`{"values":["a","b"],"values":["c"]}`,
+		`{"values":["a","b"],"timestamps":[1,null]}`,
+		`{"values":["a","b","c","d","e","f"],"Weights":[1]}`,
+		`{"values":["a","b","c"],"timestamps":[1,2,3],"weights":[1,2,x]}`,
 	} {
-		if _, _, ok := compactIngestJSON([]byte(body), scratchRequest(true)); ok {
-			t.Errorf("non-compact body taken by the compact tier: %q", body)
+		req := scratchRequest(true)
+		if _, _, ok := compactIngestJSON([]byte(body), req); ok {
+			t.Errorf("non-compact body taken: %q", body)
 		}
-		if _, _, ok := parseIngestJSON([]byte(body), IngestRequest{}); !ok {
-			t.Errorf("canonical body declined: %q", body)
+		if !zeroed(req) {
+			t.Errorf("declined body left recycled scratch %#v: %q", req, body)
 		}
 	}
 	for _, line := range []string{
@@ -348,26 +342,7 @@ func TestRecognizersTakeCanonicalInput(t *testing.T) {
 		`{}`,
 	} {
 		if compactRecord([]byte(line), new(wireRecord)) {
-			t.Errorf("non-compact line taken by the compact tier: %s", line)
-		}
-		if !walkRecord([]byte(line), new(wireRecord)) {
-			t.Errorf("canonical line declined by the token walk: %s", line)
-		}
-	}
-	for _, body := range []string{
-		`{"values":["a","b"],"values":["c"]}`,
-		`{"values":["a","b"],"timestamps":[1,null]}`,
-		`{"values":["a","b","c","d","e","f"],"Weights":[1]}`,
-		`{"values":["a","b","c"],"timestamps":[1,2,3],"weights":[1,2,x]}`,
-	} {
-		for _, parse := range []func([]byte, IngestRequest) (IngestRequest, ingestFields, bool){compactIngestJSON, parseIngestJSON} {
-			req := scratchRequest(true)
-			if _, _, ok := parse([]byte(body), req); ok {
-				t.Fatalf("non-canonical body accepted: %s", body)
-			}
-			if !zeroed(req) {
-				t.Fatalf("declined body left recycled scratch %#v: %s", req, body)
-			}
+			t.Errorf("non-compact line taken: %s", line)
 		}
 	}
 }
@@ -394,32 +369,54 @@ func zeroed(req IngestRequest) bool {
 }
 
 // TestDecodedValuesAreCopies: a decoded value must not share memory with the
-// request buffer, or a retained sample would pin the whole body.
+// bytes it was decoded from, or a retained sample would pin the whole
+// request body. Bodies run the request decode: it reads into pooled buffers
+// that slab clears when the request puts them back, so a value aliasing one
+// would read as NUL bytes. WAL lines are overwritten after their decode.
+// Each format goes once through the compact-form recognizer and once
+// through encoding/json.
 func TestDecodedValuesAreCopies(t *testing.T) {
-	body := []byte(`{"values":["aaaa","bbbb"]}`)
-	got, _, ok := parseIngestJSON(body, IngestRequest{})
-	if !ok {
-		t.Fatal("canonical body declined")
+	for _, tc := range []struct {
+		body   string
+		ndjson bool
+	}{
+		{`{"values":["aaaa","bbbb"]}`, false},
+		{` {"values":["aaaa","bbbb"]}` + "\n", false},
+		{`{"values": ["aaaa", "bbbb"]}`, false},
+		{`{"value":"aaaa"}` + "\n" + `{"value":"bbbb"}`, true},
+		{`{ "value":"aaaa" }` + "\n" + `{"value" : "bbbb"}`, true},
+	} {
+		r := httptest.NewRequest(http.MethodPost, "/", strings.NewReader(tc.body))
+		if tc.ndjson {
+			r.Header.Set("Content-Type", "application/x-ndjson")
+		}
+		got, _, err := decodeIngestBody(r, scratchRequest(true))
+		if err != nil {
+			t.Fatalf("%q: %v", tc.body, err)
+		}
+		if len(got.Values) != 2 || got.Values[0] != "aaaa" || got.Values[1] != "bbbb" {
+			t.Fatalf("values decoded from %q alias a request buffer: %q", tc.body, got.Values)
+		}
 	}
-	line := []byte(`{"value":"cccc"}`)
-	var rec wireRecord
-	if !compactRecord(line, &rec) {
-		t.Fatal("compact line declined")
-	}
-	for i := range body {
-		body[i] = 'x'
-	}
-	for i := range line {
-		line[i] = 'x'
-	}
-	if got.Values[0] != "aaaa" || got.Values[1] != "bbbb" || rec.value != "cccc" {
-		t.Fatalf("decoded values alias their input: %q %q", got.Values, rec.value)
+	for _, s := range []string{`{"value":"cccc"}`, `{"weight":1,"value":"cccc"}`} {
+		line := []byte(s)
+		var rec wireRecord
+		if err := decodeWALRecord(line, &rec); err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+		for i := range line {
+			line[i] = 'x'
+		}
+		if rec.value != "cccc" {
+			t.Fatalf("value decoded from WAL line %s aliases it: %q", s, rec.value)
+		}
 	}
 }
 
-// TestNDJSONDecodeAllocs pins the fast path's allocation budget: one string
-// per record plus O(log n) slice growth and O(1) request overhead — where
-// encoding/json spent about eleven allocations per record.
+// TestNDJSONDecodeAllocs pins the compact-form recognizer's allocation
+// budget on a compact NDJSON body: one string per record plus O(log n)
+// slice growth and O(1) request overhead — where encoding/json, which
+// decodes every other line, spends about eleven allocations per record.
 func TestNDJSONDecodeAllocs(t *testing.T) {
 	const records = 1000
 	var b bytes.Buffer
