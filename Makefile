@@ -109,9 +109,10 @@ swperf-smoke:
 # (go test runs one fuzz target per invocation): handler status/count
 # property, recognizer-vs-encoding/json decode diff, WAL encoder vs
 # json.Marshal, the /samplers and /fabrics registration property (201 and
-# listed, or 4xx and the listing unchanged), and the snapshot decoder
-# behind POST /restore (an error or an instance that takes three arrivals
-# and a query, never a panic). Every target's minimization is bounded to
+# listed, or 4xx and the listing unchanged), the snapshot decoder behind
+# POST /restore (an error or an instance that takes three arrivals and a
+# query, never a panic), and the query response encoders vs
+# json.NewEncoder's bytes. Every target's minimization is bounded to
 # 100 calls per new input: unbounded, a target can spend most of its 10 s
 # shrinking the new inputs its first seconds found instead of mutating.
 # Their seed corpora also run on every plain `go test`.
@@ -121,6 +122,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecordDiff$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzRegisterHandler$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreInstance$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzQueryResponseDiff$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/serve/
 
 # Fast benchmark smoke: fixed iteration counts so CI time is bounded.
 bench-quick:

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -10,9 +11,12 @@ import (
 	"slidingsample/internal/xrand"
 )
 
-// sortMergeOracle is the merge mergeTopK replaced, kept as the oracle:
-// recover every candidate's global index, sort the concatenation by
-// decreasing log-key, ties by smaller global index, and keep the first k.
+// sortMergeOracle is the k-way merge of per-shard samples that the one
+// cross-shard selection replaced, kept as the oracle: recover every
+// candidate's global index, sort the concatenation by decreasing log-key,
+// ties by smaller global index, and keep the first k. Its inputs are the
+// shards' own samples (each shard's top-k, shard-local indices), which is
+// all a merge needs: every item of the global top-k is in its shard's.
 func sortMergeOracle(perShard [][]weighted.Item[uint64], k int) []weighted.Item[uint64] {
 	var all []weighted.Item[uint64]
 	for shard, items := range perShard {
@@ -30,103 +34,175 @@ func sortMergeOracle(perShard [][]weighted.Item[uint64], k int) []weighted.Item[
 	return all[:min(k, len(all))]
 }
 
-// shardLists builds g per-shard samples as the weighted skybands return
-// them: decreasing log-key, exact ties by increasing shard-local index.
-// Local indices start at 1, so a global index recovered zero times or
-// twice differs from the one recovered once. Values are unique and
-// encode (shard, local index). Some shards are empty; with ties set, keys
-// come from three values, so ties cross shards and the k-th place.
-func shardLists(rng *xrand.Rand, g, maxLen int, ties bool) [][]weighted.Item[uint64] {
-	perShard := make([][]weighted.Item[uint64], g)
-	for shard := range perShard {
-		n := int(rng.Uint64n(uint64(maxLen) + 1))
-		if rng.Uint64n(4) == 0 {
-			n = 0
-		}
-		items := make([]weighted.Item[uint64], n)
-		for i := range items {
-			local := 1 + uint64(i)
-			lk := -rng.Float64() * 10
-			if ties {
-				lk = -float64(rng.Uint64n(3))
-			}
-			items[i] = weighted.Item[uint64]{
-				Elem:   stream.Element[uint64]{Value: uint64(shard)<<32 | local, Index: local},
-				Weight: 1 + float64(rng.Uint64n(9)),
-				LogKey: lk,
-			}
-		}
-		sort.SliceStable(items, func(a, b int) bool { return items[a].LogKey > items[b].LogKey })
-		perShard[shard] = items
+// sameShardItems compares two samples bit for bit.
+func sameShardItems(t *testing.T, label string, got, want []weighted.Item[uint64]) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d items, want %d", label, len(got), len(want))
 	}
-	return perShard
+	for i := range got {
+		if got[i].Elem != want[i].Elem || math.Float64bits(got[i].Weight) != math.Float64bits(want[i].Weight) ||
+			math.Float64bits(got[i].LogKey) != math.Float64bits(want[i].LogKey) {
+			t.Fatalf("%s: item %d = %+v, want %+v", label, i, got[i], want[i])
+		}
+	}
 }
 
-// TestMergeTopKMatchesSortOracle is the differential test of the k-way
-// merge: over random shard counts, list lengths and k — empty shards,
-// fewer than k candidates in total, and exact ties across shards included
-// — mergeTopK must return exactly the oracle's items in the oracle's
-// order, each emitted item's index recovered exactly once, and leave the
-// per-shard inputs untouched.
+// sameSample checks that a Sample/SampleAt answer is the items' elements.
+func sameSample(t *testing.T, label string, es []stream.Element[uint64], ok bool, items []weighted.Item[uint64]) {
+	t.Helper()
+	if ok != (len(items) > 0) || len(es) != len(items) {
+		t.Fatalf("%s: sample has %d elements (ok %v), want %d", label, len(es), ok, len(items))
+	}
+	for i := range es {
+		if es[i] != items[i].Elem {
+			t.Fatalf("%s: element %d = %+v, want %+v", label, i, es[i], items[i].Elem)
+		}
+	}
+}
+
+// TestMergeTopKMatchesSortOracle is the differential test of the sharded
+// WOR query, now one selection over every shard's retained nodes: for G
+// in {1, 2, 3, 8} and every k from 1 to 70, sharded sequence and timestamp
+// samplers filled with anything from fewer arrivals than shards (empty
+// shards, k above the total) to several k per shard must answer Items,
+// ItemsAt, Sample and SampleAt with exactly the oracle's merge of the
+// shards' own samples, global indices recovered once, and a repeated query
+// (the selection buffer reused) must answer the same. Exact key ties
+// across shards cannot be drawn here; the weighted package pins them on
+// the selection directly (TestSelectionAcrossShardsMatchesSortOracle,
+// TestSelectionTieAcrossShards).
 func TestMergeTopKMatchesSortOracle(t *testing.T) {
 	rng := xrand.New(17)
-	for trial := 0; trial < 500; trial++ {
-		g := 1 + int(rng.Uint64n(12))
-		k := 1 + int(rng.Uint64n(70))
-		perShard := shardLists(rng, g, int(rng.Uint64n(80)), trial%3 == 2)
-		before := make([][]weighted.Item[uint64], g)
-		for shard, items := range perShard {
-			before[shard] = append([]weighted.Item[uint64](nil), items...)
-		}
-		got := mergeTopK(perShard, k)
-		want := sortMergeOracle(before, k)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d (g=%d k=%d): %d items, want %d", trial, g, k, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].Elem != want[i].Elem || got[i].Weight != want[i].Weight ||
-				math.Float64bits(got[i].LogKey) != math.Float64bits(want[i].LogKey) {
-				t.Fatalf("trial %d (g=%d k=%d): item %d = %+v, want %+v", trial, g, k, i, got[i], want[i])
+	for _, g := range []int{1, 2, 3, 8} {
+		for k := 1; k <= 70; k++ {
+			fill := int(rng.Uint64n(uint64(4 * k * g)))
+			if k%5 == 0 {
+				fill = int(rng.Uint64n(uint64(g + 1)))
 			}
-			shard, local := got[i].Elem.Value>>32, got[i].Elem.Value&(1<<32-1)
-			if got[i].Elem.Index != local*uint64(g)+shard {
-				t.Fatalf("trial %d: item %d index %d, want %d (shard %d, local %d recovered once)",
-					trial, i, got[i].Elem.Index, local*uint64(g)+shard, shard, local)
+			label := fmt.Sprintf("g=%d k=%d fill=%d", g, k, fill)
+			seed := rng.Uint64()
+
+			// Sequence window: n = 2·k·g keeps some arrivals expired.
+			seq := NewShardedWeightedSeqWOR[uint64](xrand.New(seed), uint64(2*k*g), g, k, 0.05, shardWeight)
+			for i := 0; i < fill; i++ {
+				seq.Observe(uint64(i), 0)
 			}
-		}
-		for shard := range perShard {
-			for i := range perShard[shard] {
-				if perShard[shard][i] != before[shard][i] {
-					t.Fatalf("trial %d: input shard %d item %d modified", trial, shard, i)
+			seq.Barrier()
+			perShard := make([][]weighted.Item[uint64], g)
+			for shard, sh := range seq.shards {
+				perShard[shard], _ = sh.Items()
+			}
+			want := sortMergeOracle(perShard, k)
+			for rep := 0; rep < 2; rep++ {
+				got, ok := seq.Items()
+				if ok != (len(want) > 0) {
+					t.Fatalf("seq %s: ok %v with %d oracle items", label, ok, len(want))
 				}
+				sameShardItems(t, "seq "+label, got, want)
+				es, ok := seq.Sample()
+				sameSample(t, "seq "+label, es, ok, want)
 			}
+			seq.Close()
+
+			// Timestamp window: ten arrivals per tick over a horizon of k
+			// ticks, queried half a horizon after the last arrival, so the
+			// older arrivals have expired at the query.
+			t0 := int64(k)
+			ts := NewShardedWeightedTSWOR[uint64](xrand.New(seed), t0, g, k, 0.05, shardWeight)
+			for i := 0; i < fill; i++ {
+				ts.Observe(uint64(i), int64(i/10))
+			}
+			ts.Barrier()
+			now := int64(fill/10) + t0/2
+			got, ok := ts.ItemsAt(now)
+			for shard, sh := range ts.shards {
+				perShard[shard], _ = sh.ItemsAt(now)
+			}
+			want = sortMergeOracle(perShard, k)
+			if ok != (len(want) > 0) {
+				t.Fatalf("ts %s: ok %v with %d oracle items", label, ok, len(want))
+			}
+			sameShardItems(t, "ts "+label, got, want)
+			es, ok := ts.SampleAt(now)
+			sameSample(t, "ts "+label, es, ok, want)
+			again, _ := ts.Items()
+			sameShardItems(t, "ts repeat "+label, again, want)
+			ts.Close()
 		}
 	}
 }
 
-// TestMergeTopKEdgeCases pins the shapes by hand: all shards empty, a
-// single candidate, and a cross-shard tie resolved by global index even
-// when the later shard's local index is smaller.
+// TestMergeTopKEdgeCases pins the shapes by hand: every shard empty (no
+// arrival yet) answers ok=false on every query, and a single arrival
+// across three shards is a one-item sample at global index 0.
 func TestMergeTopKEdgeCases(t *testing.T) {
-	item := func(local uint64, lk float64) weighted.Item[uint64] {
-		return weighted.Item[uint64]{Elem: stream.Element[uint64]{Value: local, Index: local}, Weight: 1, LogKey: lk}
+	seq := NewShardedWeightedSeqWOR[uint64](xrand.New(3), 12, 3, 4, 0.05, shardWeight)
+	defer seq.Close()
+	ts := NewShardedWeightedTSWOR[uint64](xrand.New(3), 5, 3, 4, 0.05, shardWeight)
+	defer ts.Close()
+	seq.Barrier()
+	ts.Barrier()
+	if items, ok := seq.Items(); ok || items != nil {
+		t.Fatalf("empty seq: Items = %v, %v", items, ok)
 	}
-	if got := mergeTopK(make([][]weighted.Item[uint64], 4), 3); got != nil {
-		t.Fatalf("all shards empty: got %v, want nil", got)
+	if es, ok := seq.Sample(); ok || es != nil {
+		t.Fatalf("empty seq: Sample = %v, %v", es, ok)
 	}
-	got := mergeTopK([][]weighted.Item[uint64]{nil, {item(2, -1)}, nil}, 5)
-	if len(got) != 1 || got[0].Elem.Index != 2*3+1 {
-		t.Fatalf("single candidate: got %+v", got)
+	if items, ok := ts.ItemsAt(9); ok || items != nil {
+		t.Fatalf("empty ts: ItemsAt = %v, %v", items, ok)
 	}
-	// g = 3: shard 0 local 2 is global 6; shard 2 local 1 is global 5.
-	got = mergeTopK([][]weighted.Item[uint64]{{item(2, -1), item(3, -4)}, {item(0, -2)}, {item(1, -1)}}, 3)
-	wantIdx := []uint64{5, 6, 1}
-	if len(got) != len(wantIdx) {
-		t.Fatalf("cross-shard tie: %d items, want %d", len(got), len(wantIdx))
+	if es, ok := ts.SampleAt(9); ok || es != nil {
+		t.Fatalf("empty ts: SampleAt = %v, %v", es, ok)
 	}
-	for i, it := range got {
-		if it.Elem.Index != wantIdx[i] {
-			t.Fatalf("cross-shard tie: position %d has global index %d, want %d", i, it.Elem.Index, wantIdx[i])
+
+	seq.Observe(42, 0)
+	ts.Observe(42, 9)
+	seq.Barrier()
+	ts.Barrier()
+	if es, ok := seq.Sample(); !ok || len(es) != 1 || es[0] != (stream.Element[uint64]{Value: 42}) {
+		t.Fatalf("seq single arrival: sample %+v, ok %v", es, ok)
+	}
+	if es, ok := ts.SampleAt(9); !ok || len(es) != 1 || es[0] != (stream.Element[uint64]{Value: 42, TS: 9}) {
+		t.Fatalf("ts single arrival: sample %+v, ok %v", es, ok)
+	}
+	// The window empties at 9 + 5: no shard offers anything.
+	if es, ok := ts.SampleAt(14); ok || es != nil {
+		t.Fatalf("expired ts: SampleAt = %v, %v", es, ok)
+	}
+}
+
+// TestShardedWORSampleAllocs bounds the sharded WOR queries at one
+// allocation, the caller's fresh sample: every shard offers into the
+// dispatch's reused selection, so neither per-shard lists nor a merge
+// buffer can come back unnoticed (they cost at least G allocations).
+func TestShardedWORSampleAllocs(t *testing.T) {
+	const g, k = 8, 64
+	seq := NewShardedWeightedSeqWOR[uint64](xrand.New(5), 1<<12, g, k, 0.05, shardWeight)
+	defer seq.Close()
+	ts := NewShardedWeightedTSWOR[uint64](xrand.New(5), 3600, g, k, 0.05, shardWeight)
+	defer ts.Close()
+	for i := 0; i < 20_000; i++ {
+		seq.Observe(uint64(i), 0)
+		ts.Observe(uint64(i), int64(i/100))
+	}
+	seq.Barrier()
+	ts.Barrier()
+	now := int64(20_000 / 100)
+	for _, q := range []struct {
+		name string
+		run  func() bool
+	}{
+		{"ShardedWeightedSeqWOR.Sample", func() bool { _, ok := seq.Sample(); return ok }},
+		{"ShardedWeightedSeqWOR.Items", func() bool { _, ok := seq.Items(); return ok }},
+		{"ShardedWeightedTSWOR.SampleAt", func() bool { _, ok := ts.SampleAt(now); return ok }},
+		{"ShardedWeightedTSWOR.ItemsAt", func() bool { _, ok := ts.ItemsAt(now); return ok }},
+	} {
+		if !q.run() {
+			t.Fatalf("%s: empty sample", q.name)
+		}
+		if a := testing.AllocsPerRun(20, func() { q.run() }); a > 1 {
+			t.Errorf("%s: %v allocations per query, want 1", q.name, a)
 		}
 	}
 }

@@ -11,10 +11,11 @@
 //     is globally comparable — every element draws ln(U)/w independently,
 //     no matter which shard keyed it — and the global weighted k-sample is
 //     the key-top-k of the window. Each shard retains (at least) the top-k
-//     of its own slice, so the top-k of the UNION of the per-shard samples
-//     IS the global top-k: the merged sample follows the exact weighted
-//     WOR law, with no cross-shard estimate involved. Only estimator scale
-//     factors (weight totals, window sizes) carry an ε.
+//     of its own slice, so the top-k of the UNION of the shards' retained
+//     sets IS the global top-k — one selection over every shard's nodes,
+//     not a top-k per shard and a merge — and it follows the exact
+//     weighted WOR law, with no cross-shard estimate involved. Only
+//     estimator scale factors (weight totals, window sizes) carry an ε.
 //
 //   - WITH replacement needs per-shard active WEIGHT totals: slot j picks
 //     a shard with probability W_shard/W and takes the shard's exact slot
@@ -73,6 +74,10 @@ type wdispatch[T any] struct {
 	wcacheCount uint64
 	wcacheNow   int64
 	wcacheOK    bool
+	// sel is the WOR queries' one top-k selection, reused from query to
+	// query: every shard offers its retained nodes into it and the sample
+	// is copied out, so it is empty between queries.
+	sel weighted.Selection[T] //swlint:allow wordsacct recycled query scratch, empty between queries and capped at stream.MaxRecycledCap
 }
 
 func newWDispatch[T any](rng *xrand.Rand, horizon int64, g, k int, eps float64, seq bool, weight func(T) float64, shards []stream.WeightedSampler[T]) *wdispatch[T] {
@@ -339,61 +344,12 @@ func pickShard(rng *xrand.Rand, weights []float64, total float64) int {
 	return last
 }
 
-// mergeShardItems runs fetchShard once per shard in shard order — one
-// shard-local, draw-free skyband query each — then merges the per-shard
-// lists (mergeTopK). ok is false when every shard is empty.
-func mergeShardItems[T any](w *wdispatch[T], fetchShard func(shard int) ([]weighted.Item[T], bool)) ([]weighted.Item[T], bool) {
-	perShard := make([][]weighted.Item[T], w.g)
-	for shard := range w.g {
-		if items, ok := fetchShard(shard); ok {
-			perShard[shard] = items
-		}
-	}
-	out := mergeTopK(perShard, w.k)
-	return out, len(out) > 0
-}
-
-// mergeTopK merges the per-shard samples — each in decreasing log-key
-// order with shard-local indices, as the weighted skybands return them —
-// into the global top-k in the same order: the exact weighted WOR sample
-// of the union, in the Efraimidis–Spirakis successive-sampling order. An
-// exact key tie ranks the smaller GLOBAL index first, the rule each
-// shard's list already follows (dealing keeps arrival order within a
-// shard), so the result is a pure function of the per-shard lists. Each
-// step scans the g list heads, O(k·g) in all, below the O(g·m) per-shard
-// selection that precedes it; only the k emitted items get their global
-// index recovered.
-func mergeTopK[T any](perShard [][]weighted.Item[T], k int) []weighted.Item[T] {
-	g := len(perShard)
-	total := 0
-	for _, items := range perShard {
-		total += len(items)
-	}
-	if total == 0 {
-		return nil
-	}
-	pos := make([]int, g)
-	out := make([]weighted.Item[T], min(k, total))
-	for i := range out {
-		best := -1
-		var bestLK float64
-		var bestIdx uint64
-		for shard, items := range perShard {
-			if pos[shard] == len(items) {
-				continue
-			}
-			it := &items[pos[shard]]
-			idx := it.Elem.Index*uint64(g) + uint64(shard)
-			if best < 0 || it.LogKey > bestLK || it.LogKey == bestLK && idx < bestIdx {
-				best, bestLK, bestIdx = shard, it.LogKey, idx
-			}
-		}
-		it := perShard[best][pos[best]]
-		pos[best]++
-		it.Elem = recoverIndex(it.Elem, best, g)
-		out[i] = it
-	}
-	return out
+// selection readies the dispatch's one selection for a WOR query of size
+// k over the G shards, which then offer their retained nodes in shard
+// order.
+func (w *wdispatch[T]) selection() *weighted.Selection[T] {
+	w.sel.Reset(w.k, w.g)
+	return &w.sel
 }
 
 // itemsToElements strips Items to the bare-element Sample shape.
@@ -414,7 +370,7 @@ func itemsToElements[T any](items []weighted.Item[T], ok bool) ([]stream.Element
 
 // ShardedWeightedTSWOR is a G-way parallel weighted k-sample WITHOUT
 // replacement over a timestamp window of horizon t0: per-shard
-// weighted.TSWOR skybands whose globally comparable log-keys merge into
+// weighted.TSWOR skybands whose globally comparable log-keys select into
 // the exact Efraimidis–Spirakis top-k at query time. eps is the relative
 // error of the embedded weight/size oracles — the SAMPLE itself is exact.
 type ShardedWeightedTSWOR[T any] struct {
@@ -467,15 +423,24 @@ func (s *ShardedWeightedTSWOR[T]) Close() { s.w.d.close() }
 // (each shard retains its slice's suffix-top-k, so the union's top-k is
 // the window's). Panics without a Barrier.
 //
-// Each shard's skyband query is already a bounded top-k selection in
-// decreasing key order; the k-way merge of those lists follows in shard
-// order. Exact key ties rank the smaller global arrival index first.
+// Every shard runs its query clock and expiry and offers its retained
+// nodes, in shard order, to one k-item selection (weighted.Selection),
+// which sorts once. Exact key ties rank the smaller global arrival index
+// first.
 func (s *ShardedWeightedTSWOR[T]) ItemsAt(now int64) ([]weighted.Item[T], bool) {
+	return s.selectAt(now).Items()
+}
+
+// selectAt fills the dispatch's selection from every shard at the query
+// clock.
+func (s *ShardedWeightedTSWOR[T]) selectAt(now int64) *weighted.Selection[T] {
 	s.w.d.requireSynced()
 	now = s.w.clock(now)
-	return mergeShardItems(s.w, func(shard int) ([]weighted.Item[T], bool) {
-		return s.shards[shard].ItemsAt(now)
-	})
+	sel := s.w.selection()
+	for shard, sh := range s.shards {
+		sh.OfferAt(sel, now, shard)
+	}
+	return sel
 }
 
 // Items returns the sample at the latest dispatched timestamp.
@@ -486,15 +451,19 @@ func (s *ShardedWeightedTSWOR[T]) Items() ([]weighted.Item[T], bool) {
 	return s.ItemsAt(s.w.now)
 }
 
-// SampleAt implements stream.TimedSampler.
+// SampleAt implements stream.TimedSampler: ItemsAt's sample as bare
+// elements, copied straight out of the selection.
 func (s *ShardedWeightedTSWOR[T]) SampleAt(now int64) ([]stream.Element[T], bool) {
-	return itemsToElements(s.ItemsAt(now))
+	return s.selectAt(now).Elements()
 }
 
 // Sample implements stream.Sampler: the sample at the latest dispatched
 // timestamp.
 func (s *ShardedWeightedTSWOR[T]) Sample() ([]stream.Element[T], bool) {
-	return itemsToElements(s.Items())
+	if !s.w.begun {
+		return nil, false
+	}
+	return s.SampleAt(s.w.now)
 }
 
 // SizeAt returns the (1±eps) estimate of n(t) at time now, clamped to the
@@ -654,9 +623,9 @@ func (s *ShardedWeightedTSWR[T]) MaxWords() int { return s.w.words(true) }
 
 // ShardedWeightedSeqWOR is a G-way parallel weighted k-sample WITHOUT
 // replacement over a sequence window of n elements (n divisible by G).
-// Composition is EXACT: the merged per-shard skybands' top-k by log-key is
-// the window's Efraimidis–Spirakis k-sample — no estimate anywhere on the
-// sample path.
+// Composition is EXACT: the top-k by log-key over all the shards' skybands
+// together is the window's Efraimidis–Spirakis k-sample — no estimate
+// anywhere on the sample path.
 type ShardedWeightedSeqWOR[T any] struct {
 	w      *wdispatch[T]
 	n      uint64
@@ -703,19 +672,26 @@ func (s *ShardedWeightedSeqWOR[T]) Barrier() { s.w.d.barrier() }
 func (s *ShardedWeightedSeqWOR[T]) Close() { s.w.d.close() }
 
 // Items returns the weighted sample over the last min(count, n) elements —
-// the exact merged top-k in decreasing key order. The per-shard skyband
-// queries' sorted lists are k-way merged, ties by global index (see
+// the exact top-k of every shard's retained nodes in decreasing key order,
+// selected in one pass, ties by global index (see
 // ShardedWeightedTSWOR.ItemsAt). Panics without a Barrier.
 func (s *ShardedWeightedSeqWOR[T]) Items() ([]weighted.Item[T], bool) {
-	s.w.d.requireSynced()
-	return mergeShardItems(s.w, func(shard int) ([]weighted.Item[T], bool) {
-		return s.shards[shard].Items()
-	})
+	return s.selectAll().Items()
 }
 
-// Sample implements stream.Sampler.
+// selectAll fills the dispatch's selection from every shard.
+func (s *ShardedWeightedSeqWOR[T]) selectAll() *weighted.Selection[T] {
+	s.w.d.requireSynced()
+	sel := s.w.selection()
+	for shard, sh := range s.shards {
+		sh.Offer(sel, shard)
+	}
+	return sel
+}
+
+// Sample implements stream.Sampler: Items' sample as bare elements.
 func (s *ShardedWeightedSeqWOR[T]) Sample() ([]stream.Element[T], bool) {
-	return itemsToElements(s.Items())
+	return s.selectAll().Elements()
 }
 
 // TotalWeight returns the (1±eps) estimate of the window's total weight

@@ -185,7 +185,8 @@ func (b *lazyBody) Read(p []byte) (int, error) {
 // 413 and ingests nothing, on both routes and in both formats — including
 // an NDJSON body whose cut falls inside a record, which the scanner hands
 // to the decoder before it reports the read error, and a JSON body that
-// holds a complete batch before the cut.
+// holds a complete batch before the cut. That last shape also runs on the
+// registration routes, POST /samplers and POST /fabrics.
 func TestIngestBodyOverCap(t *testing.T) {
 	blankLine := append(bytes.Repeat([]byte(" "), 1023), '\n')
 	cases := []struct {
@@ -238,6 +239,31 @@ func TestIngestBodyOverCap(t *testing.T) {
 			if count != 0 || tenant != 0 {
 				t.Errorf("%s on %s: ingested %d and %d events from a refused body", tc.name, path, count, tenant)
 			}
+		}
+	}
+	// The registration routes decode through the same capped reader: a
+	// complete object padded past the cap is a 413 there too, and
+	// registers nothing.
+	if raceEnabled {
+		return
+	}
+	spec, err := json.Marshal(fuzzIngestTargets[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/samplers", "/fabrics"} {
+		s := NewServer()
+		body := &lazyBody{head: []byte(`{"name":"padded","spec":` + string(spec) + `}`), fill: []byte(" "), n: maxBodyBytes}
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, body))
+		_, inst := s.Get("padded")
+		_, fab := s.GetFabric("padded")
+		s.Close()
+		if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), "request body too large") {
+			t.Errorf("json object then padding past the cap on %s: %d %s, want 413 naming the cap", path, rec.Code, rec.Body)
+		}
+		if inst || fab {
+			t.Errorf("padded body on %s registered %q (sampler %v, fabric %v)", path, "padded", inst, fab)
 		}
 	}
 }

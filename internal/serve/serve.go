@@ -81,6 +81,11 @@ var (
 	// ErrNoArrivals: an "as of" query on a timestamp window that has seen
 	// no elements (answering would pin the stream clock arbitrarily).
 	ErrNoArrivals = errors.New("serve: timestamp window has no arrivals yet")
+	// ErrNonFinite: an estimate overflowed to ±Inf (or is NaN) and has no
+	// JSON rendering. It depends on the window's current contents, so it
+	// is a conflict with the stream state: the query can answer again once
+	// the heavy elements expire.
+	ErrNonFinite = errors.New("serve: estimate is not a finite number")
 	// ErrNoClock: an at= parameter on a sequence-window sampler.
 	ErrNoClock = errors.New("serve: sequence windows have no query clock")
 	// ErrUnsupported: the substrate lacks the queried capability (e.g.

@@ -310,12 +310,13 @@ type errResponse struct {
 
 // statusFor maps serving-layer errors onto HTTP statuses: requests that
 // can never succeed are 400, missing names 404, requests that conflict
-// with the instance's current stream state (clocks, shutdown) 409, an
-// oversized NDJSON line or a body over its read cap 413 (split the batch),
-// a failed WAL append 500 (the batch was not admitted, and the request
-// itself was fine), transient overload — a full ingest staging queue — 503
-// (retryable), and an exhausted tenant budget 507 (the operator capped the
-// fabric's memory; retrying will not help).
+// with the instance's current stream state (clocks, shutdown, an estimate
+// the window's weights overflow) 409, an oversized NDJSON line or a body
+// over its read cap 413 (split the batch), a failed WAL append 500 (the
+// batch was not admitted, and the request itself was fine), transient
+// overload — a full ingest staging queue — 503 (retryable), and an
+// exhausted tenant budget 507 (the operator capped the fabric's memory;
+// retrying will not help).
 func statusFor(err error) int {
 	switch {
 	case errors.Is(err, ErrWALWrite):
@@ -334,6 +335,7 @@ func statusFor(err error) int {
 		errors.Is(err, ErrTimeBackwards),
 		errors.Is(err, ErrClockBackwards),
 		errors.Is(err, ErrNoArrivals),
+		errors.Is(err, ErrNonFinite),
 		errors.Is(err, ErrClosed):
 		return http.StatusConflict
 	default:
@@ -609,11 +611,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	resp := SampleResponse{OK: sampled}
-	for _, e := range es {
-		resp.Sample = append(resp.Sample, SampledElement{Value: e.Value, Index: e.Index, TS: e.TS})
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeResponse(w, appendSampleResponse(respBuf(), es, sampled))
 }
 
 func (s *Server) handleSize(w http.ResponseWriter, r *http.Request) {
@@ -631,7 +629,7 @@ func (s *Server) handleSize(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]uint64{"size": n})
+	writeResponse(w, appendSizeResponse(respBuf(), n))
 }
 
 func (s *Server) handleWeight(w http.ResponseWriter, r *http.Request) {
@@ -645,11 +643,14 @@ func (s *Server) handleWeight(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	wt, err := inst.Weight(at)
+	if err == nil {
+		err = checkFinite(wt)
+	}
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]float64{"weight": wt})
+	writeResponse(w, appendWeightResponse(respBuf(), wt))
 }
 
 // SubsetSumResponse answers GET /subsetsum.
@@ -678,11 +679,14 @@ func (s *Server) handleSubsetSum(w http.ResponseWriter, r *http.Request) {
 		return strings.HasPrefix(v, prefix) && strings.Contains(v, contains)
 	}
 	est, sampled, err := inst.SubsetSum(at, pred)
+	if err == nil {
+		err = checkFinite(est)
+	}
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, SubsetSumResponse{OK: sampled, Estimate: est})
+	writeResponse(w, appendSubsetSumResponse(respBuf(), est, sampled))
 }
 
 // handleSnapshot streams the instance's binary snapshot. When a state dir
@@ -815,11 +819,7 @@ func (s *Server) handleTenantSample(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	resp := SampleResponse{OK: sampled}
-	for _, e := range es {
-		resp.Sample = append(resp.Sample, SampledElement{Value: e.Value, Index: e.Index, TS: e.TS})
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeResponse(w, appendSampleResponse(respBuf(), es, sampled))
 }
 
 func (s *Server) handleTenantSize(w http.ResponseWriter, r *http.Request) {
@@ -837,7 +837,7 @@ func (s *Server) handleTenantSize(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]uint64{"size": n})
+	writeResponse(w, appendSizeResponse(respBuf(), n))
 }
 
 func (s *Server) handleTenantSubsetSum(w http.ResponseWriter, r *http.Request) {
@@ -856,11 +856,14 @@ func (s *Server) handleTenantSubsetSum(w http.ResponseWriter, r *http.Request) {
 		return strings.HasPrefix(v, prefix) && strings.Contains(v, contains)
 	}
 	est, sampled, err := f.SubsetSum(r.PathValue("id"), at, pred)
+	if err == nil {
+		err = checkFinite(est)
+	}
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, SubsetSumResponse{OK: sampled, Estimate: est})
+	writeResponse(w, appendSubsetSumResponse(respBuf(), est, sampled))
 }
 
 // Compile-time check: the wire sample shape matches the stream element.

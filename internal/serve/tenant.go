@@ -245,7 +245,9 @@ func (f *Fabric) createTenant(st *tenantStripe, id string) (*tenant, error) {
 		return nil, err
 	}
 	tn := &tenant{ing: built.(ingester)}
-	st.m[id] = tn
+	// The id arrives as a substring of its request (r.PathValue); a map key
+	// lives as long as the tenant, so it must not pin the request line.
+	st.m[strings.Clone(id)] = tn
 	return tn, nil
 }
 

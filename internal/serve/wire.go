@@ -16,9 +16,9 @@ import (
 	"slidingsample/internal/stream"
 )
 
-// The ingest wire codec (DESIGN.md §7 "Ingest batching"): the one place that
-// knows the byte shape of a JSON batch body, an NDJSON Record line and a WAL
-// line.
+// The wire codec (DESIGN.md §7 "Ingest batching"): the one place that knows
+// the byte shape of a JSON batch body, an NDJSON Record line, a WAL line and
+// a query response.
 //
 // Decoding is one recognizer in front of encoding/json. It reads the compact
 // form — the bytes appendRecord writes to the WAL, and what swperf sends —
@@ -298,8 +298,12 @@ func decodeJSONFrom(r io.Reader, v any) error {
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("serve: bad request body: %w", err)
 	}
-	// A trailing second JSON value is a malformed batch, not a stream.
+	// A trailing second JSON value is a malformed batch, not a stream. A
+	// body cut by the read cap is that error (413), whatever preceded it.
 	if err := dec.Decode(&struct{}{}); err != io.EOF {
+		if tooLarge(err) {
+			return fmt.Errorf("serve: bad request body: %w", err)
+		}
 		return fmt.Errorf("serve: bad request body: trailing data after the JSON object")
 	}
 	return nil
@@ -541,4 +545,95 @@ func appendJSONString(dst []byte, s string) []byte {
 	}
 	dst = append(dst, s[start:]...)
 	return append(dst, '"')
+}
+
+// ---------------------------------------------------------------------------
+// Query response encoders
+// ---------------------------------------------------------------------------
+
+// The query routes write their 200 bodies with these encoders: each one
+// appends exactly the bytes json.NewEncoder(w).Encode writes for the
+// route's response type, less the final newline that writeResponse adds
+// (FuzzQueryResponseDiff checks the pair). The sample is encoded straight
+// from the substrate's elements, without a SampledElement copy.
+
+// respBufBytes is a fresh response buffer's capacity: a K=64 sample of
+// short values fits without growing.
+const respBufBytes = 4 << 10
+
+// respBufs recycles the query response buffers; writeResponse puts each
+// back once the body is written.
+var respBufs = slab.NewSlicePool[byte](maxNDJSONLineBytes)
+
+// respBuf takes an empty response buffer from respBufs.
+func respBuf() []byte { return respBufs.Get(respBufBytes)[:0] }
+
+// appendSampleResponse appends SampleResponse{OK: ok, Sample: es}: the
+// sample field is omitted when es is empty.
+func appendSampleResponse(dst []byte, es []stream.Element[string], ok bool) []byte {
+	dst = append(dst, `{"ok":`...)
+	dst = strconv.AppendBool(dst, ok)
+	if len(es) > 0 {
+		dst = append(dst, `,"sample":[`...)
+		for i := range es {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"value":`...)
+			dst = appendJSONString(dst, es[i].Value)
+			dst = append(dst, `,"index":`...)
+			dst = strconv.AppendUint(dst, es[i].Index, 10)
+			dst = append(dst, `,"ts":`...)
+			dst = strconv.AppendInt(dst, es[i].TS, 10)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, '}')
+}
+
+// appendSizeResponse appends the /size body, {"size":N}.
+func appendSizeResponse(dst []byte, n uint64) []byte {
+	dst = append(dst, `{"size":`...)
+	dst = strconv.AppendUint(dst, n, 10)
+	return append(dst, '}')
+}
+
+// appendWeightResponse appends the /weight body, {"weight":F}. wt must be
+// finite (checkFinite).
+func appendWeightResponse(dst []byte, wt float64) []byte {
+	dst = append(dst, `{"weight":`...)
+	dst = appendJSONFloat(dst, wt)
+	return append(dst, '}')
+}
+
+// appendSubsetSumResponse appends SubsetSumResponse{OK: ok, Estimate: est}.
+// est must be finite (checkFinite).
+func appendSubsetSumResponse(dst []byte, est float64, ok bool) []byte {
+	dst = append(dst, `{"ok":`...)
+	dst = strconv.AppendBool(dst, ok)
+	dst = append(dst, `,"estimate":`...)
+	dst = appendJSONFloat(dst, est)
+	return append(dst, '}')
+}
+
+// checkFinite refuses an estimate JSON cannot carry: ±Inf or NaN, which
+// encoding/json refuses too. Weights near the float64 maximum can sum past
+// it.
+func checkFinite(v float64) error {
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		return fmt.Errorf("%w: %v", ErrNonFinite, v)
+	}
+	return nil
+}
+
+// writeResponse writes body, a query response an encoder above rendered
+// into a respBuf buffer, as a 200 with the newline json.Encoder ends every
+// body with, and puts the buffer back.
+func writeResponse(w http.ResponseWriter, body []byte) {
+	body = append(body, '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
+	respBufs.Put(body)
 }

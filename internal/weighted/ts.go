@@ -216,8 +216,23 @@ func (s *TSWOR[T]) ObserveWeightedBatch(batch []stream.Element[T], weights []flo
 // clock is left untouched, so a later stream may still start at any
 // timestamp, including negative ones.
 func (s *TSWOR[T]) ItemsAt(now int64) ([]Item[T], bool) {
+	sel := Selection[T]{k: s.k, g: 1}
+	s.OfferAt(&sel, now, 0)
+	sel.sort()
+	return sel.items, len(sel.items) > 0
+}
+
+// OfferAt runs ItemsAt's query clock and expiry at now, then offers the
+// retained nodes to sel as shard `shard` of the selection's shard count.
+// The retained set holds the active suffix-top-k, so its key-top-k IS the
+// window's: when n(t) <= k every active element is retained (each is
+// beaten at most n(t)-1 < k times by active arrivals, and expired beaters
+// imply an expired beatee), giving |sample| = min(k, n(t)) exactly even
+// though n(t) itself is only approximable. A sampler that has seen no
+// arrival offers nothing and keeps its clock.
+func (s *TSWOR[T]) OfferAt(sel *Selection[T], now int64, shard int) {
 	if s.count == 0 {
-		return nil, false
+		return
 	}
 	if s.started && now < s.now {
 		now = s.now
@@ -225,15 +240,7 @@ func (s *TSWOR[T]) ItemsAt(now int64) ([]Item[T], bool) {
 	s.now = now
 	s.started = true
 	s.sky.expire(now)
-	if len(s.sky.nodes) == 0 {
-		return nil, false
-	}
-	// The retained set holds the active suffix-top-k, so its key-top-k IS
-	// the window's: when n(t) <= k every active element is retained (each is
-	// beaten at most n(t)-1 < k times by active arrivals, and expired
-	// beaters imply an expired beatee), giving |sample| = min(k, n(t))
-	// exactly even though n(t) itself is only approximable.
-	return topItems(s.sky.nodes, s.k), true
+	sel.offer(s.sky.nodes, uint64(shard))
 }
 
 // Items returns the sample at the latest observed time.
@@ -242,7 +249,9 @@ func (s *TSWOR[T]) Items() ([]Item[T], bool) { return s.ItemsAt(s.now) }
 // SampleAt implements stream.TimedSampler: the ItemsAt sample as bare
 // elements.
 func (s *TSWOR[T]) SampleAt(now int64) ([]stream.Element[T], bool) {
-	return itemElements(s.ItemsAt(now))
+	sel := Selection[T]{k: s.k, g: 1}
+	s.OfferAt(&sel, now, 0)
+	return sel.Elements()
 }
 
 // Sample implements stream.Sampler: the sample at the latest observed time.

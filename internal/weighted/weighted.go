@@ -50,6 +50,7 @@ package weighted
 
 import (
 	"math"
+	"slices"
 
 	"slidingsample/internal/stream"
 	"slidingsample/internal/window"
@@ -312,57 +313,152 @@ func (s *WOR[T]) ObserveWeightedBatch(batch []stream.Element[T], weights []float
 // order: the first item is distributed like a single weighted draw over the
 // window). ok is false while the stream is empty.
 func (s *WOR[T]) Items() ([]Item[T], bool) {
-	if s.count == 0 {
-		return nil, false
-	}
-	// Every retained node is active (expiry runs at each observe and the
-	// sequence clock is the arrival index), and the window's top-k is always
-	// retained, so the top-k of the retained set IS the window's top-k.
-	return topItems(s.sky.nodes, s.k), true
+	sel := Selection[T]{k: s.k, g: 1}
+	s.Offer(&sel, 0)
+	sel.sort()
+	return sel.items, len(sel.items) > 0
 }
 
-// topItems returns the min(k, len(nodes)) retained nodes with the largest
-// keys as Items, in decreasing key order (the successive-sampling order).
-// An exact key tie ranks the earlier arrival first: the order the
+// Offer offers the retained nodes to sel as shard `shard` of the
+// selection's shard count. Every retained node is active (expiry runs at
+// each observe and the sequence clock is the arrival index), and the
+// window's top-k is always retained, so the top-k of the retained set IS
+// the window's top-k. A sampler that has seen nothing offers nothing.
+func (s *WOR[T]) Offer(sel *Selection[T], shard int) {
+	sel.offer(s.sky.nodes, uint64(shard))
+}
+
+// Selection is the one top-k selection behind every weighted WOR query,
+// flat and sharded: a bounded heap of the best k items offered so far,
+// worst at the root. A query offers the retained nodes of one skyband (the
+// flat samplers) or of every shard's skyband in shard order (the sharded
+// samplers in internal/parallel), then sorts once, so a sharded query
+// builds k items however many shards it reads.
+//
+// Items rank by the larger log-key, then the smaller GLOBAL arrival index:
+// a node of shard s of g with shard-local index j ranks as, and is
+// returned with, index j·g + s (round-robin dealing's global index). With
+// g = 1 an exact key tie ranks the earlier arrival first: the order the
 // skyband's strict beating already implies (a newer equal key does not
 // beat an older one), so the retained set always holds the top-k of every
 // suffix under it, and the answer is a pure function of the retained set.
+// Log-keys are globally comparable (every element draws ln(U)/w on its
+// own), so the top-k of the union of the shards' retained sets is the
+// window's top-k.
 //
-// The selection is bounded: the result slice doubles as a heap of the best
-// min(k, m) nodes seen so far, worst at the root. The scan costs O(m) plus
-// O(log k) per root replacement, which stays rare because the skyband
-// keeps an old node only while its key is high, and the oldest nodes fill
-// the heap first; heapsort then orders the result in O(k·log k).
-func topItems[T any](nodes []node[T], k int) []Item[T] {
-	m := min(k, len(nodes))
-	out := make([]Item[T], m)
-	for i := range out {
-		nd := &nodes[i]
-		out[i] = Item[T]{Elem: nd.elem, Weight: nd.w, LogKey: nd.lk}
+// Offering m nodes costs O(m) plus O(log k) per root replacement, which
+// stays rare because a skyband keeps an old node only while its key is
+// high, and the oldest nodes fill the heap first; the sort is a heapsort,
+// O(k·log k). Reset readies a selection (or the zero value) for a query.
+type Selection[T any] struct {
+	items []Item[T]
+	k     int
+	g     uint64
+}
+
+// Reset empties the selection for a query of size k over g shards,
+// keeping its buffer for reuse.
+func (sel *Selection[T]) Reset(k, g int) {
+	sel.items, sel.k, sel.g = sel.items[:0], k, uint64(g)
+}
+
+// offer adds one skyband's retained nodes, shard `shard` of sel.g. Until
+// the heap holds k items every node goes in; the heap is ordered once it
+// fills (or at sort), and from then on a node replaces the root only when
+// it ranks before it.
+func (sel *Selection[T]) offer(nodes []node[T], shard uint64) {
+	i := 0
+	if free := sel.k - len(sel.items); free > 0 {
+		n := min(free, len(nodes))
+		sel.items = slices.Grow(sel.items, n)
+		for ; i < n; i++ {
+			nd := &nodes[i]
+			it := Item[T]{Elem: nd.elem, Weight: nd.w, LogKey: nd.lk}
+			it.Elem.Index = nd.elem.Index*sel.g + shard
+			sel.items = append(sel.items, it)
+		}
+		if len(sel.items) < sel.k {
+			return
+		}
+		heapify(sel.items)
 	}
-	for i := m/2 - 1; i >= 0; i-- {
-		siftWorst(out, i)
-	}
-	for i := m; i < len(nodes); i++ {
+	for ; i < len(nodes); i++ {
 		// ranksBefore(nd, root), inlined: building an Item per scanned node
 		// costs about half again the whole selection.
 		nd := &nodes[i]
-		if rootLK := out[0].LogKey; nd.lk > rootLK || nd.lk == rootLK && nd.elem.Index < out[0].Elem.Index {
-			out[0] = Item[T]{Elem: nd.elem, Weight: nd.w, LogKey: nd.lk}
-			siftWorst(out, 0)
+		idx := nd.elem.Index*sel.g + shard
+		if root := &sel.items[0]; nd.lk > root.LogKey || nd.lk == root.LogKey && idx < root.Elem.Index {
+			*root = Item[T]{Elem: nd.elem, Weight: nd.w, LogKey: nd.lk}
+			root.Elem.Index = idx
+			siftWorst(sel.items, 0)
 		}
 	}
-	for end := m - 1; end > 0; end-- {
-		out[0], out[end] = out[end], out[0]
-		siftWorst(out[:end], 0)
-	}
-	return out
 }
 
-// ranksBefore is topItems' total order: the larger log-key first, then
-// the smaller arrival index.
+// sort orders the selected items best first, in place. A selection that
+// never filled is heapified first; offering after sort needs a Reset.
+func (sel *Selection[T]) sort() {
+	h := sel.items
+	if len(h) < sel.k {
+		heapify(h)
+	}
+	for end := len(h) - 1; end > 0; end-- {
+		h[0], h[end] = h[end], h[0]
+		siftWorst(h[:end], 0)
+	}
+}
+
+// Items sorts the selection and returns its items, best first, as a fresh
+// slice, then empties it (Reset before the next query). ok is false when
+// no node was offered. The buffer keeps no payload: it is cleared, and
+// dropped when its capacity is over stream.MaxRecycledCap, the cap every
+// recycled scratch buffer obeys.
+func (sel *Selection[T]) Items() ([]Item[T], bool) {
+	if len(sel.items) == 0 {
+		return nil, false
+	}
+	sel.sort()
+	out := append(make([]Item[T], 0, len(sel.items)), sel.items...)
+	sel.release()
+	return out, true
+}
+
+// Elements is Items as bare elements: the Sample shape.
+func (sel *Selection[T]) Elements() ([]stream.Element[T], bool) {
+	if len(sel.items) == 0 {
+		return nil, false
+	}
+	sel.sort()
+	out := make([]stream.Element[T], len(sel.items))
+	for i := range sel.items {
+		out[i] = sel.items[i].Elem
+	}
+	sel.release()
+	return out, true
+}
+
+// release empties the selection after a copy out, keeping its buffer only
+// while that is within the recycled-scratch cap.
+func (sel *Selection[T]) release() {
+	if cap(sel.items) > stream.MaxRecycledCap {
+		sel.items = nil
+		return
+	}
+	clear(sel.items)
+	sel.items = sel.items[:0]
+}
+
+// ranksBefore is the selection's total order: the larger log-key first,
+// then the smaller (global) arrival index.
 func ranksBefore[T any](a, b *Item[T]) bool {
 	return a.LogKey > b.LogKey || a.LogKey == b.LogKey && a.Elem.Index < b.Elem.Index
+}
+
+// heapify orders h as a heap with its worst item at the root.
+func heapify[T any](h []Item[T]) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftWorst(h, i)
+	}
 }
 
 // siftWorst restores the heap below h[i] after h[i] changed: every parent
@@ -386,15 +482,9 @@ func siftWorst[T any](h []Item[T], i int) {
 
 // Sample implements stream.Sampler: the Items sample as bare elements.
 func (s *WOR[T]) Sample() ([]stream.Element[T], bool) {
-	items, ok := s.Items()
-	if !ok {
-		return nil, false
-	}
-	out := make([]stream.Element[T], len(items))
-	for i, it := range items {
-		out[i] = it.Elem
-	}
-	return out, true
+	sel := Selection[T]{k: s.k, g: 1}
+	s.Offer(&sel, 0)
+	return sel.Elements()
 }
 
 // K returns the target sample size.
